@@ -3,15 +3,15 @@
 Thin harness over :mod:`repro.kernels.bench` (the logic lives in the
 package so ``repro bench-bmm`` shares it):
 
-* microbench — the four-Russians packed product vs the bit-plane
-  ``bool @ bool`` product vs the O(m·k·n) broadcast oracle — plus the
-  compiled ``native`` kernel and the autotuned ``auto`` dispatcher when
-  a C toolchain is present — per operand shape, each agreeing bit for
-  bit before any clock starts;
+* microbench — the four-Russians packed product vs the O(m·k·n)
+  broadcast oracle, plus the compiled ``native`` kernel when a C
+  toolchain is present — per operand shape, each agreeing bit for bit
+  (and with the ``bool @ bool`` bit-plane product) before any clock
+  starts;
 * end-to-end — the same sentence through a CDG ``ParserSession`` on
-  every available kernel backend (identical settled networks), and
-  through CYK on each backend vs the set-based chart oracle
-  (identical charts and operation counts).
+  every available kernel backend (settled networks identical to the
+  serial engine's), and through CYK on each backend vs the set-based
+  chart oracle (identical charts and operation counts).
 
 Run standalone to (re)generate the committed record::
 
@@ -32,18 +32,19 @@ def test_bmm_bench(report):
     """BMM: identity-gated kernel microbench + both parsers end to end."""
     record = run_bench(quick=True)
     assert record["bit_identity"]["ok"], record["bit_identity"]
+    backends = record["backends"]
+    kernels = ["four_russians", *(["native"] if "native" in backends else [])]
     rows = [
         [
             "x".join(str(d) for d in row["shape"]),
-            row["four_russians_ms"],
-            row["planes_ms"],
+            *[row[f"{kernel}_ms"] for kernel in kernels],
             row.get("naive_ms", "capped"),
         ]
         for row in record["micro"]
     ]
     report(
         f"BMM microbench (quick, {record['host']['cpu_count']} CPU host)",
-        ["shape", "four-Russians ms", "bool@bool ms", "naive ms"],
+        ["shape", *[f"{kernel} ms" for kernel in kernels], "naive ms"],
         rows,
         notes=record["notes"],
     )
@@ -52,12 +53,12 @@ def test_bmm_bench(report):
     assert cdg["identical"] and cfg["identical"]
     report(
         "Both parsers on the shared kernel core (quick)",
-        ["parser", "packed ms", "numpy ms", "oracle ms"],
+        ["parser", *[f"{b} ms" for b in backends], "oracle ms"],
         [
-            [f"CDG n={cdg['sentence_words']}", cdg["latency_ms"]["packed"],
-             cdg["latency_ms"]["numpy"], "-"],
-            [f"CFG/CYK n={cfg['sentence_words']}", cfg["latency_ms"]["packed"],
-             cfg["latency_ms"]["numpy"], cfg["latency_ms"]["sets-oracle"]],
+            [f"CDG n={cdg['sentence_words']}",
+             *[cdg["latency_ms"][b] for b in backends], "-"],
+            [f"CFG/CYK n={cfg['sentence_words']}",
+             *[cfg["latency_ms"][b] for b in backends], cfg["latency_ms"]["sets-oracle"]],
         ],
     )
 

@@ -26,15 +26,12 @@ Commands:
 ``bench-bmm``
     Run the identity-gated kernel benchmark (BMM microbench + both
     parsers on the shared kernel core) and write ``BENCH_bmm.json``.
-``calibrate``
-    Race the available kernel backends over representative operand
-    sizes and persist the winning dispatch table, so the first real
-    parse under ``backend="auto"`` starts pre-tuned.
 
 ``--engine`` values are validated against the live registry (not a
 frozen argparse choice list), so engines registered at runtime work and
 an unknown name reports the registered ones; ``--kernel-backend``
-values resolve through :mod:`repro.kernels.backend` the same way.
+values resolve through :mod:`repro.kernels.backend`, whose error lists
+the two backends.
 """
 
 from __future__ import annotations
@@ -450,24 +447,6 @@ def _cmd_bench_bmm(args: argparse.Namespace, out) -> int:
     return 0 if record["bit_identity"]["ok"] else 1
 
 
-def _cmd_calibrate(args: argparse.Namespace, out) -> int:
-    from repro.kernels.autotune import AutoBackend, cache_path
-
-    if args.force:
-        cache_path().unlink(missing_ok=True)
-    auto = AutoBackend()
-    known = auto.dispatch_snapshot() or {}
-    if known:
-        print(f"loaded {len(known)} persisted decision(s) from {cache_path()}", file=out)
-    table = auto.warm(quick=args.quick)
-    print(f"ran {auto.calibrations} calibration race(s)", file=out)
-    print("dispatch table (kernel:size-bucket -> backend):", file=out)
-    for key, winner in table.items():
-        print(f"  {key:>20} -> {winner}", file=out)
-    print(f"persisted to {cache_path()}", file=out)
-    return 0
-
-
 def _cmd_explain(args: argparse.Namespace, out) -> int:
     from repro.debugging import TraceRecorder
 
@@ -498,8 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
     # runtime-registered engines work); the help text lists built-ins.
     engine_help = f"engine name; registered: {', '.join(available_engines())}"
     backend_help = (
-        "kernel backend name (resolved through repro.kernels.backend, so "
-        f"runtime registrations work); registered: {', '.join(available_backends())}"
+        "kernel backend name (default: $REPRO_KERNEL_BACKEND, else packed); "
+        f"one of: {', '.join(available_backends())}"
     )
 
     p_parse = sub.add_parser("parse", help="parse a sentence")
@@ -647,17 +626,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bmm.add_argument("--out", default="BENCH_bmm.json",
                        help="where to write the JSON record")
     p_bmm.set_defaults(func=_cmd_bench_bmm)
-
-    p_cal = sub.add_parser(
-        "calibrate",
-        help="race kernel backends over representative sizes and persist "
-        "the winning dispatch table for backend='auto'",
-    )
-    p_cal.add_argument("--quick", action="store_true",
-                       help="small size grid (CI smoke)")
-    p_cal.add_argument("--force", action="store_true",
-                       help="discard the persisted table and re-race everything")
-    p_cal.set_defaults(func=_cmd_calibrate)
 
     p_explain = sub.add_parser(
         "explain", help="trace a parse and show what each constraint eliminated"

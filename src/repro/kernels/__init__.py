@@ -11,22 +11,17 @@ shared kernel core instead of three disconnected inner loops:
   AND-accumulate with exact delta counting, segmented OR/popcount
   reductions, row/column clears, dense bit pack/unpack.
 * :mod:`repro.kernels.bmm` — Boolean matrix multiplication over packed
-  words: a blocked four-Russians kernel and a plain-numpy bit-plane
-  fallback.
-* :mod:`repro.kernels.backend` — the kernel-backend registry (mirrors
-  :mod:`repro.engines.registry`): ``packed`` (default), ``numpy``
-  (bit-plane matmul oracle), ``native`` (compiled C via ctypes),
-  ``auto`` (profile-guided dispatch between the others) and a ``cupy``
-  scaffold — every optional backend falls back cleanly to ``packed``
-  when its substrate is absent.  Selected via the
-  ``REPRO_KERNEL_BACKEND`` environment variable or the ``backend=``
+  words: a blocked four-Russians kernel, plus the bit-plane product and
+  the broadcast reference that tests and the bench check it against.
+* :mod:`repro.kernels.backend` — the kernel-backend table: ``packed``
+  (default) and ``native`` (compiled C via ctypes), which falls back
+  cleanly to ``packed`` on a host without a C compiler.  Selected via
+  the ``REPRO_KERNEL_BACKEND`` environment variable or the ``backend=``
   argument of :class:`repro.pipeline.session.ParserSession`; one
   resolution rule (explicit > environment > default) lives in
   :func:`repro.kernels.backend.resolve_backend_name`.
 * :mod:`repro.kernels.native` — the C source + on-demand ``cc`` build
   behind the ``native`` backend.
-* :mod:`repro.kernels.autotune` — the calibration races and persisted
-  dispatch table behind the ``auto`` backend (``repro calibrate``).
 
 Layering: ``kernels`` sits *below* :mod:`repro.network.bitset` — the
 layout layer packs/unpacks and delegates its word-level work here —
@@ -40,8 +35,6 @@ from repro.kernels.backend import (
     available_backends,
     create_backend,
     default_backend,
-    probe_backend,
-    register_backend,
     reset_backend_cache,
     resolve_backend_name,
 )
@@ -54,8 +47,6 @@ __all__ = [
     "available_backends",
     "create_backend",
     "default_backend",
-    "probe_backend",
-    "register_backend",
     "reset_backend_cache",
     "resolve_backend_name",
     "WORD_BITS",

@@ -1,22 +1,21 @@
-"""The kernel-backend registry: name -> Boolean-kernel provider.
+"""The kernel-backend table: name -> Boolean-kernel provider.
 
-Mirrors :mod:`repro.engines.registry`: the CLI, ``ParserSession`` and
-the benchmarks resolve kernel backends through one table, so adding a
-native/GPU backend is one :func:`register_backend` call.  Unlike the
-engine registry, resolution has a fallback contract: a *registered but
-unavailable* backend (e.g. ``cupy`` without CuPy installed) raises
-:class:`KernelBackendUnavailable` from its factory, and
-:func:`create_backend` warns and falls back to the default ``packed``
-backend instead of failing the parse.
+Two backends: ``packed`` (the default; pure numpy, runs everywhere) and
+``native`` (the same kernels compiled to C, see
+:mod:`repro.kernels.native`).  The CLI, ``ParserSession`` and the
+benchmarks resolve backends through this one table.  Resolution has a
+fallback contract: when ``native`` cannot be built on this host its
+factory raises :class:`KernelBackendUnavailable`, and
+:func:`create_backend` warns once and falls back to ``packed`` instead
+of failing the parse — "native when it builds, else packed".
 
 Resolution order — one rule, shared by every entry point
 (:func:`resolve_backend_name` implements it; :func:`create_backend`
 and :func:`default_backend` both call it): an explicit ``backend=``
 argument wins, else the ``REPRO_KERNEL_BACKEND`` environment variable,
 else the ``"packed"`` default.  Resolution is memoized per resolved
-name (including the warn-once fallback instance for unavailable
-backends), so repeated resolution — one per network bind on the hot
-path — is a dict hit.
+name (including the warn-once fallback instance), so repeated
+resolution — one per network bind on the hot path — is a dict hit.
 
 A backend provides the Boolean-linear-algebra surface both parsers run
 on:
@@ -25,10 +24,8 @@ on:
   combination).
 * ``support_any(matrix_words, alive_words, seg_byte_starts)`` — the
   consistency sweep's OR-reduction: does row *a* keep an alive partner
-  in each segment?  The packed backend computes it as a word-wide AND
-  plus a segmented byte OR; the numpy backend computes the same truth
-  table as a literal Boolean matrix product against the byte-segment
-  membership matrix — the Lee/Valiant recast, used as a cross-check.
+  in each segment?  Computed as a word-wide AND plus a segmented byte
+  OR.
 * ``and_accumulate`` / ``count_ones`` — the fused-mask apply and the
   popcount bookkeeping around it.
 """
@@ -43,7 +40,7 @@ import numpy as np
 
 from repro.errors import ReproError
 from repro.kernels import bitops
-from repro.kernels.bmm import _check_operands, bmm_four_russians, bmm_planes
+from repro.kernels.bmm import bmm_four_russians
 
 #: Environment variable consulted when no explicit backend is given.
 ENV_VAR = "REPRO_KERNEL_BACKEND"
@@ -53,11 +50,11 @@ DEFAULT_BACKEND = "packed"
 
 
 class KernelBackendUnavailable(ReproError):
-    """A registered kernel backend cannot run on this host.
+    """A kernel backend cannot run on this host.
 
-    Raised by backend *factories* (e.g. the CuPy scaffold when CuPy is
-    not installed); :func:`create_backend` catches it and falls back to
-    the default backend with a warning.
+    Raised by backend *factories* (``native`` without a C toolchain);
+    :func:`create_backend` catches it and falls back to the default
+    backend with a warning.
     """
 
 
@@ -89,13 +86,6 @@ class KernelBackend:
         """Total population count of a packed array."""
         return bitops.count_ones(words)
 
-    def dispatch_snapshot(self) -> "dict[str, str] | None":
-        """The per-(kernel, size-bucket) dispatch table, for backends
-        that route between implementations (the ``auto`` backend);
-        None for single-implementation backends.  Sessions surface a
-        non-None snapshot as ``stats.extra["kernel_dispatch"]``."""
-        return None
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<KernelBackend {self.name!r}>"
 
@@ -120,87 +110,6 @@ class PackedBackend(KernelBackend):
         return bitops.or_segments(masked, seg_byte_starts) != 0
 
 
-class PlanesBackend(KernelBackend):
-    """Bit-plane fallback: plain numpy matmuls in the Boolean semiring.
-
-    Slower and allocation-heavier than ``packed``, but every operation
-    is a literal Boolean matrix product — the form Lee's reduction talks
-    about, and the form a dense-linear-algebra accelerator implements —
-    so it doubles as the cross-check oracle for the word-level kernels.
-    """
-
-    name = "numpy"
-
-    def bmm(self, a_bits: np.ndarray, b_bits: np.ndarray) -> np.ndarray:
-        return bmm_planes(a_bits, b_bits)
-
-    def support_any(
-        self,
-        matrix_words: np.ndarray,
-        alive_words: np.ndarray,
-        seg_byte_starts: np.ndarray,
-        *,
-        out: "np.ndarray | None" = None,
-    ) -> np.ndarray:
-        # support = (M AND alive) ∘ S in the Boolean semiring, where
-        # S[b, j] = byte b belongs to segment j.  Byte granularity is
-        # enough: a nonzero masked byte means a kept bit, and padding
-        # bytes (mapped to the last segment) are zero by invariant.
-        masked = np.bitwise_and(matrix_words, alive_words[None, :], out=out)
-        nonzero8 = bitops.bytes_view(masked) != 0
-        n_bytes = nonzero8.shape[-1]
-        seg_of_byte = (
-            np.searchsorted(seg_byte_starts, np.arange(n_bytes), side="right") - 1
-        )
-        membership = seg_of_byte[:, None] == np.arange(len(seg_byte_starts))[None, :]
-        return nonzero8 @ membership
-
-
-class CuPyBackend(KernelBackend):  # pragma: no cover - requires CuPy
-    """GPU scaffold: bit-plane matmul on the device, pack/unpack on host.
-
-    Registered so ``REPRO_KERNEL_BACKEND=cupy`` resolves; on hosts
-    without CuPy the factory raises :class:`KernelBackendUnavailable`
-    and resolution falls back to ``packed``.
-    """
-
-    name = "cupy"
-
-    def __init__(self):
-        import cupy  # raises ImportError when absent; factory translates
-
-        self._cp = cupy
-
-    def bmm(self, a_bits: np.ndarray, b_bits: np.ndarray) -> np.ndarray:
-        cp = self._cp
-        a, b = _check_operands(a_bits, b_bits)
-        k_rows, n_words = b.shape[0], b.shape[1]
-        if a.shape[0] == 0 or k_rows == 0 or n_words == 0:
-            return np.zeros((a.shape[0], n_words), dtype=bitops.WORD_DTYPE)
-        a_plane = cp.asarray(
-            bitops.unpack_bits(a, a.shape[1] * bitops.WORD_BITS)[:, :k_rows],
-            dtype=cp.float32,
-        )
-        b_plane = cp.asarray(
-            bitops.unpack_bits(b, n_words * bitops.WORD_BITS), dtype=cp.float32
-        )
-        product = cp.asnumpy(a_plane @ b_plane) > 0.5
-        return bitops.pack_bits(product)
-
-    def support_any(self, matrix_words, alive_words, seg_byte_starts, *, out=None):
-        # The sweep is reduction-bound, not matmul-bound; run it packed.
-        return PackedBackend().support_any(
-            matrix_words, alive_words, seg_byte_starts, out=out
-        )
-
-
-def _cupy_factory() -> KernelBackend:
-    try:
-        return CuPyBackend()
-    except ImportError:
-        raise KernelBackendUnavailable("cupy is not installed") from None
-
-
 def _native_factory() -> KernelBackend:
     # Deferred import: constructing the backend compiles the C library
     # on first use, and hosts without a toolchain must still import
@@ -210,33 +119,20 @@ def _native_factory() -> KernelBackend:
     return NativeBackend()
 
 
-def _auto_factory() -> KernelBackend:
-    from repro.kernels.autotune import AutoBackend
-
-    return AutoBackend()
-
-
-# -- registry ----------------------------------------------------------------
-
-BackendFactory = Callable[[], KernelBackend]
-
-_REGISTRY: dict[str, BackendFactory] = {}
+_REGISTRY: dict[str, Callable[[], KernelBackend]] = {
+    "packed": PackedBackend,
+    "native": _native_factory,
+}
 _INSTANCES: dict[str, KernelBackend] = {}
-
-
-def register_backend(name: str, factory: BackendFactory) -> None:
-    """Register *factory* under *name* (later registrations win)."""
-    _REGISTRY[name] = factory
-    _INSTANCES.pop(name, None)
 
 
 def reset_backend_cache(name: "str | None" = None) -> None:
     """Drop memoized backend instances (one name, or all).
 
     Resolution caches aggressively — including the warn-once fallback
-    instance for unavailable backends — so tests that change the
-    environment (compiler overrides, autotune cache paths) reset here
-    to re-run factories.
+    instance for an unavailable backend — so tests that change the
+    environment (compiler overrides, build-cache paths) reset here to
+    re-run factories.
     """
     if name is None:
         _INSTANCES.clear()
@@ -245,13 +141,11 @@ def reset_backend_cache(name: "str | None" = None) -> None:
 
 
 def available_backends() -> tuple[str, ...]:
-    """Registered kernel-backend names, as a deterministic sorted tuple.
+    """Backend names, as a deterministic sorted tuple.
 
     Deterministic because the CLI embeds it in ``--kernel-backend``
-    help text and validation messages; registration order must not
-    leak into user-facing strings.
+    help text and validation messages.
     """
-    _ensure_builtin()
     return tuple(sorted(_REGISTRY))
 
 
@@ -272,19 +166,18 @@ def create_backend(backend: "str | KernelBackend | None" = None) -> KernelBacken
     via :func:`resolve_backend_name` and built (memoized per name).
 
     Raises:
-        ReproError: for a name that is not registered at all.
+        ReproError: for a name that is not in the table.
 
-    A registered backend whose factory raises
-    :class:`KernelBackendUnavailable` falls back to the default backend
-    with a single ``RuntimeWarning`` per process — requesting an
-    optional accelerator must degrade, not fail.  The fallback instance
-    is memoized under the requested name, so the warning fires once and
-    later resolutions are silent dict hits
-    (:func:`reset_backend_cache` re-arms the factory).
+    A backend whose factory raises :class:`KernelBackendUnavailable`
+    falls back to the default backend with a single ``RuntimeWarning``
+    per process — requesting ``native`` on a host without a compiler
+    must degrade, not fail.  The fallback instance is memoized under
+    the requested name, so the warning fires once and later
+    resolutions are silent dict hits (:func:`reset_backend_cache`
+    re-arms the factory).
     """
     if isinstance(backend, KernelBackend):
         return backend
-    _ensure_builtin()
     requested = resolve_backend_name(backend)
     instance = _INSTANCES.get(requested)
     if instance is not None:
@@ -312,30 +205,6 @@ def create_backend(backend: "str | KernelBackend | None" = None) -> KernelBacken
     return instance
 
 
-def probe_backend(name: str) -> "KernelBackend | None":
-    """*name*'s backend instance, or None when it cannot run here.
-
-    Unlike :func:`create_backend` this neither warns nor falls back —
-    it is the autotuner's candidate-enumeration primitive ("which
-    backends could race?"), where an unavailable backend is an expected
-    non-event rather than a degraded selection.  Successful probes
-    share the resolution memo.
-    """
-    _ensure_builtin()
-    instance = _INSTANCES.get(name)
-    if instance is not None:
-        return instance
-    factory = _REGISTRY.get(name)
-    if factory is None:
-        return None
-    try:
-        instance = factory()
-    except KernelBackendUnavailable:
-        return None
-    _INSTANCES[name] = instance
-    return instance
-
-
 def default_backend() -> KernelBackend:
     """The backend for callers with no explicit selection.
 
@@ -345,14 +214,3 @@ def default_backend() -> KernelBackend:
     because the hot path reads better at call sites).
     """
     return create_backend(None)
-
-
-def _ensure_builtin() -> None:
-    """Populate the registry with the built-in backends, lazily."""
-    if DEFAULT_BACKEND in _REGISTRY:
-        return
-    _REGISTRY.setdefault("packed", PackedBackend)
-    _REGISTRY.setdefault("numpy", PlanesBackend)
-    _REGISTRY.setdefault("cupy", _cupy_factory)
-    _REGISTRY.setdefault("native", _native_factory)
-    _REGISTRY.setdefault("auto", _auto_factory)

@@ -4,11 +4,11 @@ The kernel extraction's claims, in falsifiability order:
 
 * **Bit-identity** (always checkable, gated before any timing):
 
-  - the four-Russians product, the bit-plane (``bool @ bool``) product
-    and the O(m·k·n) broadcast oracle agree on every microbench
-    operand;
-  - a CDG parse on the ``packed`` backend and on the ``numpy`` backend
-    settles to the same packed network, word for word;
+  - the four-Russians product, the bit-plane (``bool @ bool``) product,
+    the compiled ``native`` product (when the host can build it) and
+    the O(m·k·n) broadcast oracle agree on every microbench operand;
+  - a CDG parse on every kernel backend settles to the same packed
+    network and verdict as the serial engine, word for word;
   - the packed fence-matrix CYK and the pre-kernel set-based chart
     agree on the accepted flag, every chart cell, and the operation
     count.
@@ -17,17 +17,11 @@ The kernel extraction's claims, in falsifiability order:
   and no timing section is trusted (the standalone runner exits 1).
 
 * **Kernel throughput** (host-relative): per matrix size, best-of
-  wall-clock of the BMM implementations — four-Russians, bit-plane
-  ``bool @ bool``, the compiled ``native`` backend (when the host can
-  build it) and the profile-guided ``auto`` dispatcher (timed *after*
-  its calibration race, so the row shows steady-state dispatch, and
-  gated on bit-identity like everything else).  The size grid brackets
-  the packed/planes crossover on purpose.  The broadcast oracle
-  materializes an m·k·n intermediate, so full runs cap its size and
-  the record says so (``naive_capped_at``) instead of silently
-  claiming coverage.  The record embeds the autotuner's dispatch table
-  (``kernel_dispatch``) so the routing behind the ``auto`` rows is
-  inspectable.
+  wall-clock of the four-Russians kernel, the compiled ``native``
+  kernel (when the host can build it) and the broadcast oracle.  The
+  oracle materializes an m·k·n intermediate, so full runs cap its size
+  and the record says so (``naive_capped_at``) instead of silently
+  claiming coverage.
 
 * **End-to-end** (host-relative): the same sentence through a CDG
   :class:`~repro.pipeline.session.ParserSession` per kernel backend,
@@ -55,13 +49,12 @@ import numpy as np
 
 from repro.analysis.host import host_metadata
 from repro.kernels import bitops
-from repro.kernels.backend import probe_backend
+from repro.kernels.backend import KernelBackend, create_backend
 from repro.kernels.bmm import bmm_four_russians, bmm_planes, bmm_reference
 
 #: Microbench operand shapes (m, k, n).  Deliberately not all square
 #: and not all word-aligned (the padding discipline is part of what is
-#: being timed), and dense enough around 128-384 to bracket the
-#: packed/planes/native crossover points the autotuner dispatches on.
+#: being timed).
 SIZES = (
     (64, 64, 64),
     (96, 96, 96),
@@ -90,12 +83,12 @@ def _best_of(fn, repeats: int) -> float:
     return best
 
 
-def _micro_identity_and_timing(sizes, repeats: int) -> tuple[bool, list[dict]]:
+def _micro_identity_and_timing(
+    sizes, repeats: int, native: "KernelBackend | None"
+) -> tuple[bool, list[dict]]:
     rows = []
     ok = True
     rng = np.random.default_rng(8)
-    native = probe_backend("native")
-    auto = probe_backend("auto")
     for m, k, n in sizes:
         a_plane = rng.random((m, k)) < 0.3
         b_plane = rng.random((k, n)) < 0.3
@@ -103,18 +96,14 @@ def _micro_identity_and_timing(sizes, repeats: int) -> tuple[bool, list[dict]]:
         b_bits = bitops.pack_bits(b_plane)
         expected = bmm_reference(a_plane, b_plane)
         four = bmm_four_russians(a_bits, b_bits)
-        planes = bmm_planes(a_bits, b_bits)
         identical = bool(
             np.array_equal(bitops.unpack_bits(four, n), expected)
-            and np.array_equal(four, planes)
+            and np.array_equal(four, bmm_planes(a_bits, b_bits))
         )
         row = {
             "shape": [m, k, n],
             "four_russians_ms": round(
                 _best_of(lambda: bmm_four_russians(a_bits, b_bits), repeats) * 1e3, 4
-            ),
-            "planes_ms": round(
-                _best_of(lambda: bmm_planes(a_bits, b_bits), repeats) * 1e3, 4
             ),
         }
         if native is not None:
@@ -123,13 +112,6 @@ def _micro_identity_and_timing(sizes, repeats: int) -> tuple[bool, list[dict]]:
             )
             row["native_ms"] = round(
                 _best_of(lambda: native.bmm(a_bits, b_bits), repeats) * 1e3, 4
-            )
-        if auto is not None:
-            # The first call calibrates this size bucket; the timed
-            # runs after it measure steady-state dispatch.
-            identical = identical and bool(np.array_equal(auto.bmm(a_bits, b_bits), four))
-            row["auto_ms"] = round(
-                _best_of(lambda: auto.bmm(a_bits, b_bits), repeats) * 1e3, 4
             )
         row["identical"] = identical
         ok = ok and identical
@@ -141,54 +123,44 @@ def _micro_identity_and_timing(sizes, repeats: int) -> tuple[bool, list[dict]]:
     return ok, rows
 
 
-def _session_backends() -> tuple[str, ...]:
-    """Backends the end-to-end tables time: statics that can run here,
-    then ``auto`` (which exists on every host — its floor is packed)."""
-    names = ["packed", "numpy"]
-    if probe_backend("native") is not None:
-        names.append("native")
-    names.append("auto")
-    return tuple(names)
-
-
-def _cdg_end_to_end(n_words: int, repeats: int, batch: int) -> tuple[bool, dict]:
+def _cdg_end_to_end(
+    n_words: int, repeats: int, batch: int, backends: tuple[str, ...]
+) -> tuple[bool, dict]:
     from repro.grammar.builtin.english import english_grammar
     from repro.pipeline.session import ParserSession
     from repro.workloads import sentence_of_length
 
     grammar = english_grammar()
     words = sentence_of_length(n_words)
-    results = {}
+    reference = ParserSession(grammar, engine="serial").parse(words)
+    identical = True
     timings = {}
-    backends = _session_backends()
     for backend in backends:
         session = ParserSession(grammar, engine="vector", backend=backend)
-        result = session.parse(words)  # warm the template cache (and autotuner)
+        result = session.parse(words)  # warm the template cache
+        identical = identical and bool(
+            result.locally_consistent == reference.locally_consistent
+            and np.array_equal(result.network.alive_bits, reference.network.alive_bits)
+            and np.array_equal(result.network.matrix_bits, reference.network.matrix_bits)
+        )
         timings[backend] = round(
             _best_of(lambda: [session.parse(words) for _ in range(batch)], repeats)
             / batch * 1e3,
             4,
         )
-        results[backend] = result
-    reference = results["packed"]
-    identical = all(
-        bool(
-            other.locally_consistent == reference.locally_consistent
-            and np.array_equal(other.network.alive_bits, reference.network.alive_bits)
-            and np.array_equal(other.network.matrix_bits, reference.network.matrix_bits)
-        )
-        for other in results.values()
-    )
     return identical, {
         "sentence_words": n_words,
         "engine": "vector",
+        "reference_engine": "serial",
         "backends": list(backends),
         "identical": identical,
         "latency_ms": timings,
     }
 
 
-def _cfg_end_to_end(n_words: int, repeats: int) -> tuple[bool, dict]:
+def _cfg_end_to_end(
+    n_words: int, repeats: int, backends: tuple[str, ...]
+) -> tuple[bool, dict]:
     from repro.cfg import cyk_parse, cyk_parse_sets, english_cfg, to_cnf
     from repro.workloads import sentence_of_length
 
@@ -197,7 +169,6 @@ def _cfg_end_to_end(n_words: int, repeats: int) -> tuple[bool, dict]:
     oracle = cyk_parse_sets(cnf, words)
     identical = True
     timings = {}
-    backends = _session_backends()
     for backend in backends:
         packed = cyk_parse(cnf, words, backend=backend)
         identical = identical and bool(
@@ -224,20 +195,24 @@ def run_bench(*, quick: bool = False, out_path: "Path | str | None" = None) -> d
     """Run the identity-gated kernel benchmark; optionally write JSON."""
     sizes = QUICK_SIZES if quick else SIZES
     repeats = QUICK_REPEATS if quick else REPEATS
-    micro_ok, micro = _micro_identity_and_timing(sizes, repeats)
-    cdg_ok, cdg = _cdg_end_to_end(7 if quick else 10, repeats, batch=4)
-    cfg_ok, cfg = _cfg_end_to_end(8 if quick else 12, repeats)
-    auto = probe_backend("auto")
+    # Where native cannot build, the request degrades to packed with
+    # one warning, and only packed is timed.
+    native: "KernelBackend | None" = create_backend("native")
+    if native.name != "native":
+        native = None
+    backends = ("packed",) if native is None else ("packed", "native")
+    micro_ok, micro = _micro_identity_and_timing(sizes, repeats, native)
+    cdg_ok, cdg = _cdg_end_to_end(7 if quick else 10, repeats, 4, backends)
+    cfg_ok, cfg = _cfg_end_to_end(8 if quick else 12, repeats, backends)
     record = {
         "bench": "bmm",
         "quick": quick,
         "host": host_metadata(),
-        "backends": list(_session_backends()),
-        "kernel_dispatch": auto.dispatch_snapshot() if auto is not None else None,
+        "backends": list(backends),
         "bit_identity": {
             "ok": micro_ok and cdg_ok and cfg_ok,
             "micro": micro_ok,
-            "cdg_packed_vs_numpy": cdg_ok,
+            "cdg_backends_vs_serial": cdg_ok,
             "cyk_packed_vs_sets": cfg_ok,
         },
         "micro": micro,
@@ -258,27 +233,17 @@ def print_report(record: dict, out) -> None:
     """Render *record* as the terminal tables the harness snapshots."""
     from repro.analysis import format_table
 
-    has_native = any("native_ms" in row for row in record["micro"])
-    has_auto = any("auto_ms" in row for row in record["micro"])
-    headers = ["shape", "identical", "four-Russians ms", "bool@bool ms"]
+    has_native = "native" in record["backends"]
+    headers = ["shape", "identical", "four-Russians ms"]
     if has_native:
         headers.append("native ms")
-    if has_auto:
-        headers.append("auto ms")
     headers.append("naive ms")
     rows = []
     for row in record["micro"]:
         m, k, n = row["shape"]
-        line = [
-            f"{m}x{k}x{n}",
-            "yes" if row["identical"] else "NO",
-            row["four_russians_ms"],
-            row["planes_ms"],
-        ]
+        line = [f"{m}x{k}x{n}", "yes" if row["identical"] else "NO", row["four_russians_ms"]]
         if has_native:
-            line.append(row.get("native_ms", "-"))
-        if has_auto:
-            line.append(row.get("auto_ms", "-"))
+            line.append(row["native_ms"])
         line.append(row.get("naive_ms", "capped"))
         rows.append(line)
     print(
@@ -291,22 +256,22 @@ def print_report(record: dict, out) -> None:
     )
     cdg = record["end_to_end"]["cdg"]
     cfg = record["end_to_end"]["cfg"]
-    backends = record.get("backends") or ["packed", "numpy"]
+    backends = record["backends"]
     parser_headers = ["parser", "identical", *[f"{b} ms" for b in backends], "oracle ms"]
     print(
         format_table(
             parser_headers,
             [
                 [
-                    f"CDG n={cdg['sentence_words']} ({cdg['engine']})",
+                    f"CDG n={cdg['sentence_words']} ({cdg['engine']} vs serial)",
                     "yes" if cdg["identical"] else "NO",
-                    *[cdg["latency_ms"].get(b, "-") for b in backends],
+                    *[cdg["latency_ms"][b] for b in backends],
                     "-",
                 ],
                 [
                     f"CFG/CYK n={cfg['sentence_words']}",
                     "yes" if cfg["identical"] else "NO",
-                    *[cfg["latency_ms"].get(b, "-") for b in backends],
+                    *[cfg["latency_ms"][b] for b in backends],
                     cfg["latency_ms"]["sets-oracle"],
                 ],
             ],
@@ -314,8 +279,4 @@ def print_report(record: dict, out) -> None:
         ),
         file=out,
     )
-    dispatch = record.get("kernel_dispatch")
-    if dispatch:
-        routed = ", ".join(f"{key}->{winner}" for key, winner in dispatch.items())
-        print(f"auto dispatch: {routed}", file=out)
     print(record["notes"], file=out)

@@ -19,11 +19,11 @@ Two kernels with identical results:
   table of precomputed row ORs (built in 8 vectorized DP steps), and
   each byte of A gathers its table entry — 8 rows of work per byte
   lookup, word-wide ORs throughout.
-* :func:`bmm_planes` — plain numpy fallback: unpack both operands to
-  boolean planes, multiply in the Boolean semiring (``@`` on bool
-  arrays), repack.  Simple, allocation-heavy, and the shape every
-  dense-linear-algebra accelerator (CuPy, BLAS via float planes)
-  implements directly.
+* :func:`bmm_planes` — the Lee/Valiant recast taken literally: unpack
+  both operands to boolean planes, multiply in the Boolean semiring
+  (``@`` on bool arrays), repack.  Simple and allocation-heavy; tests
+  and the BMM bench use it as a cross-check on the four-Russians
+  kernel.
 
 :func:`bmm_reference` is the O(m*k*n) broadcast oracle used by tests.
 """

@@ -6,7 +6,7 @@ repro cache directory and loaded through :mod:`ctypes` — no build-time
 dependency, no wheel-per-platform, just ``cc -O3 -shared -fPIC`` at
 first use.  Hosts without a working C toolchain raise
 :class:`~repro.kernels.backend.KernelBackendUnavailable` from
-:func:`load_library`, which the backend registry translates into the
+:func:`load_library`, which the backend table translates into the
 documented fall-back-to-``packed`` path.
 
 Environment knobs:

@@ -13,9 +13,6 @@ word-level bit arithmetic itself (popcounts, AND-accumulate, segmented
 reductions, row/column clears) lives in :mod:`repro.kernels.bitops`;
 the layout-parameterized helpers here delegate to it, translating
 ``BitLayout`` fields into the plain offset arrays the kernels take.
-The pre-1.8 kernel entry points (``count_ones``, ``and_accumulate``,
-``or_segments``, ``segment_counts``, ``clear_rows_and_columns``) remain
-importable from here as :class:`DeprecationWarning` shims.
 
 Layout
 ------
@@ -48,8 +45,6 @@ axis 1 = packed words).
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from repro.kernels import bitops
@@ -59,21 +54,9 @@ WORD_DTYPE = bitops.WORD_DTYPE
 WORD_BYTES = bitops.WORD_BYTES
 WORD_BITS = bitops.WORD_BITS
 
-#: Layout-internal aliases; external word-level callers should use
+#: Layout-internal alias; external word-level callers should use
 #: repro.kernels.bitops directly.
-_popcount_u8 = bitops.popcount_bytes
 _bytes_view = bitops.bytes_view
-
-
-def _deprecated_kernel(name: str) -> None:
-    warnings.warn(
-        f"repro.network.bitset.{name} is deprecated since 1.8: the "
-        f"word-level kernels moved to repro.kernels.bitops; import "
-        f"from there (layout-aware callers can keep using BitLayout "
-        f"fields such as seg_byte_starts)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 class BitLayout:
@@ -174,28 +157,6 @@ def get_bit(row_words: np.ndarray, index: int, layout: BitLayout) -> bool:
     return bool(_bytes_view(row_words)[..., layout.pbyte[index]] & layout.pmask8[index])
 
 
-# -- counting (deprecated shims; see repro.kernels.bitops) -------------------
-
-def count_ones(words: np.ndarray) -> int:
-    """Deprecated: use :func:`repro.kernels.bitops.count_ones`."""
-    _deprecated_kernel("count_ones")
-    return bitops.count_ones(words)
-
-
-def segment_counts(row_words: np.ndarray, layout: BitLayout) -> np.ndarray:
-    """Deprecated: use :func:`repro.kernels.bitops.segment_counts`
-    with ``layout.seg_byte_starts``."""
-    _deprecated_kernel("segment_counts")
-    return bitops.segment_counts(row_words, layout.seg_byte_starts)
-
-
-def or_segments(matrix_words: np.ndarray, layout: BitLayout) -> np.ndarray:
-    """Deprecated: use :func:`repro.kernels.bitops.or_segments`
-    with ``layout.seg_byte_starts``."""
-    _deprecated_kernel("or_segments")
-    return bitops.or_segments(matrix_words, layout.seg_byte_starts)
-
-
 def embed_rows(
     words: np.ndarray,
     idx_map: np.ndarray,
@@ -235,23 +196,3 @@ def keep_mask(indices: np.ndarray, layout: BitLayout) -> np.ndarray:
     """The packed complement of :func:`member_mask`: every *valid* bit
     except *indices* (padding stays clear, preserving the invariant)."""
     return member_mask(indices, layout) ^ layout.full_words
-
-
-def and_accumulate(target_words: np.ndarray, mask_words: np.ndarray) -> int:
-    """Deprecated: use :func:`repro.kernels.bitops.and_accumulate`."""
-    _deprecated_kernel("and_accumulate")
-    return bitops.and_accumulate(target_words, mask_words)
-
-
-def clear_rows_and_columns(
-    alive_words: np.ndarray,
-    matrix_words: np.ndarray,
-    indices: np.ndarray,
-    layout: BitLayout,
-) -> None:
-    """Deprecated: use :func:`repro.kernels.bitops.clear_rows_and_columns`
-    with a precomputed keep mask (:func:`keep_mask`)."""
-    _deprecated_kernel("clear_rows_and_columns")
-    bitops.clear_rows_and_columns(
-        alive_words, matrix_words, indices, keep_mask(indices, layout)
-    )

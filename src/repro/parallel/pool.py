@@ -129,11 +129,7 @@ def _parse_chunk(
         # Report the backend the *worker* resolved (post-fallback), so
         # the parent can verify its selection actually crossed the
         # process boundary — or see what it degraded to.
-        kernels = network.kernels()
-        stats.extra.setdefault("kernel_backend", kernels.name)
-        dispatch = kernels.dispatch_snapshot()
-        if dispatch is not None:
-            stats.extra.setdefault("kernel_dispatch", dispatch)
+        stats.extra.setdefault("kernel_backend", network.kernels().name)
         results.append(
             WireResult(
                 alive_bits=network.alive_bits,

@@ -59,11 +59,13 @@ class ParserSession:
             ``"vector"``, ``"pram"``, ``"maspar"``, ``"mesh"``, ...)
             or a :class:`~repro.engines.base.ParserEngine` instance.
         backend: a kernel-backend name from
-            :mod:`repro.kernels.backend` (``"packed"``, ``"numpy"``,
-            ...) or a :class:`~repro.kernels.backend.KernelBackend`
-            instance; None consults ``REPRO_KERNEL_BACKEND`` and
-            defaults to ``"packed"``.  Every network the session binds
-            runs its packed inner loops on this backend.
+            :mod:`repro.kernels.backend` (``"packed"`` or
+            ``"native"``, which falls back to ``"packed"`` with one
+            warning when it cannot be built) or a
+            :class:`~repro.kernels.backend.KernelBackend` instance;
+            None consults ``REPRO_KERNEL_BACKEND`` and defaults to
+            ``"packed"``.  Every network the session binds runs its
+            packed inner loops on this backend.
         filter_limit: session-default filtering bound (design decision
             5); individual calls may override it.
         template_cache_size: bound on the per-shape template LRU.
@@ -188,9 +190,6 @@ class ParserSession:
             stats.extra.setdefault("network_bytes", network.state_nbytes())
             stats.extra["template_cache_bytes"] = self.cached_bytes()
             stats.extra.setdefault("kernel_backend", self.kernel_backend.name)
-            dispatch = self.kernel_backend.dispatch_snapshot()
-            if dispatch is not None:
-                stats.extra.setdefault("kernel_dispatch", dispatch)
             return ParseResult(
                 network=network,
                 locally_consistent=network.all_domains_nonempty(),

@@ -17,10 +17,9 @@ Two implementations with identical semantics:
   ``scanOr``/``scanAnd``, touching 1/8th of the memory the boolean
   sweep reads.  Which kernels run depends on the network's backend
   (:mod:`repro.kernels.backend`): ``packed`` does a word-wide AND plus
-  a byte ``reduceat``; ``numpy`` computes the identical truth table as
-  a literal Boolean matrix product against the byte-segment membership
-  matrix (the Lee/Valiant recast).  On a boolean-mode network it is the
-  original ``logical_or.reduceat`` over bytes.
+  a byte ``reduceat``; ``native`` runs the same masked segmented OR in
+  C.  On a boolean-mode network it is the original
+  ``logical_or.reduceat`` over bytes.
 * :func:`unsupported_serial` — explicit loops over arcs and rows, used by
   the faithful sequential engine and for cross-checking.
 

@@ -1,4 +1,4 @@
-"""The extracted kernel core: bitops, BMM, and the backend registry.
+"""The extracted kernel core: bitops, BMM, and the backend table.
 
 Three layers:
 
@@ -8,16 +8,14 @@ Three layers:
 * :mod:`repro.kernels.bmm` — the four-Russians product and the
   bit-plane product agree with the broadcast-any reference over
   non-square, empty, and padding-heavy operands;
-* :mod:`repro.kernels.backend` — registry resolution (env var,
-  explicit name, instance passthrough), the unavailable-backend
-  fallback contract, and end-to-end bit-identity of ``packed`` vs
-  ``numpy`` across every registered engine, plus the deprecation shims
-  left behind in :mod:`repro.network.bitset`.
+* :mod:`repro.kernels.backend` — resolution (env var, explicit name,
+  instance passthrough), the no-compiler fallback of ``native``, and
+  end-to-end bit-identity of ``packed`` vs ``native`` across every
+  registered engine.
 """
 
 from __future__ import annotations
 
-import json
 import warnings
 
 import numpy as np
@@ -30,24 +28,24 @@ from repro.kernels import bitops
 from repro.kernels.backend import (
     DEFAULT_BACKEND,
     ENV_VAR,
-    KernelBackend,
-    KernelBackendUnavailable,
     PackedBackend,
-    PlanesBackend,
     available_backends,
     create_backend,
     default_backend,
-    probe_backend,
-    register_backend,
     reset_backend_cache,
     resolve_backend_name,
 )
 from repro.kernels.bmm import bmm_four_russians, bmm_planes, bmm_reference
-from repro.kernels import autotune
 from repro.kernels.native import build as native_build
 from repro.network import bitset
 from repro.network.bitset import BitLayout
 from repro.pipeline.session import ParserSession
+
+
+requires_compiler = pytest.mark.skipif(
+    native_build.find_compiler() is None,
+    reason="no C compiler on this host (native backend falls back)",
+)
 
 
 def random_bools(rng: np.random.Generator, shape) -> np.ndarray:
@@ -144,22 +142,26 @@ class TestBMM:
 
 
 # ---------------------------------------------------------------------------
-# backend registry
+# backend table
 
 
 class TestBackendRegistry:
     def test_builtins_registered(self):
-        names = available_backends()
-        assert "packed" in names
-        assert "numpy" in names
-        assert "cupy" in names
+        assert available_backends() == ("native", "packed")
 
-    def test_unknown_name_raises_and_lists_available(self):
-        with pytest.raises(ReproError, match="packed"):
+    def test_unknown_name_raises_and_lists_available(self, monkeypatch):
+        with pytest.raises(ReproError, match="available: native, packed"):
             create_backend("no-such-backend")
+        # A name from the environment fails when the session is built,
+        # not at its first kernel call.
+        monkeypatch.setenv(ENV_VAR, "auto")
+        with pytest.raises(
+            ReproError, match="unknown kernel backend 'auto'; available: native, packed"
+        ):
+            ParserSession(program_grammar())
 
     def test_instance_passes_through(self):
-        instance = PlanesBackend()
+        instance = PackedBackend()
         assert create_backend(instance) is instance
 
     def test_default_is_packed(self, monkeypatch):
@@ -167,43 +169,14 @@ class TestBackendRegistry:
         assert create_backend(None).name == DEFAULT_BACKEND
 
     def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "numpy")
-        assert create_backend(None).name == "numpy"
-        assert default_backend().name == "numpy"
-
-    def test_unavailable_backend_falls_back_with_warning(self):
-        # CuPy is not installed in this environment, so the scaffold
-        # exercises the real fallback path.
-        reset_backend_cache("cupy")
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            backend = create_backend("cupy")
-        assert backend.name == DEFAULT_BACKEND
-        # The fallback instance is memoized under the requested name:
-        # exactly one warning per process, later calls are silent.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert create_backend("cupy") is backend
-        reset_backend_cache("cupy")
-
-    def test_registered_unavailable_backend_falls_back(self):
-        def factory() -> KernelBackend:
-            raise KernelBackendUnavailable("test backend never available")
-
-        register_backend("always-unavailable", factory)
-        try:
-            with pytest.warns(RuntimeWarning, match="always-unavailable"):
-                backend = create_backend("always-unavailable")
-            assert backend.name == DEFAULT_BACKEND
-        finally:
-            from repro.kernels import backend as backend_mod
-
-            backend_mod._REGISTRY.pop("always-unavailable", None)
-            backend_mod._INSTANCES.pop("always-unavailable", None)
+        monkeypatch.setenv(ENV_VAR, "native")
+        assert create_backend(None) is create_backend("native")
+        assert default_backend() is create_backend("native")
 
     def test_resolution_order_explicit_env_default(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "numpy")
+        monkeypatch.setenv(ENV_VAR, "native")
         assert resolve_backend_name("packed") == "packed"  # explicit wins
-        assert resolve_backend_name(None) == "numpy"  # then env
+        assert resolve_backend_name(None) == "native"  # then env
         monkeypatch.delenv(ENV_VAR)
         assert resolve_backend_name(None) == DEFAULT_BACKEND  # then default
 
@@ -212,9 +185,9 @@ class TestBackendRegistry:
         # default_backend memoized, so the two could answer differently
         # in one process.  Both now go through resolve_backend_name and
         # the same per-name instance memo.
-        monkeypatch.setenv(ENV_VAR, "numpy")
+        monkeypatch.setenv(ENV_VAR, "native")
         assert create_backend(None) is default_backend()
-        assert default_backend().name == "numpy"
+        assert default_backend() is create_backend("native")
         monkeypatch.delenv(ENV_VAR)
         assert create_backend(None) is default_backend()
         assert default_backend().name == DEFAULT_BACKEND
@@ -223,16 +196,6 @@ class TestBackendRegistry:
         names = available_backends()
         assert names == tuple(sorted(names))
         assert names == available_backends()
-        assert "native" in names
-        assert "auto" in names
-
-    def test_probe_returns_none_without_fallback(self):
-        reset_backend_cache("cupy")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert probe_backend("cupy") is None
-            assert probe_backend("no-such-backend") is None
-        assert probe_backend(DEFAULT_BACKEND) is not None
 
     def test_support_any_backends_agree(self):
         role_slices = (slice(0, 5), slice(5, 17), slice(17, 90))
@@ -242,71 +205,16 @@ class TestBackendRegistry:
         alive_bools = random_bools(rng, layout.nv)
         matrix = bitset.pack_rows(matrix_bools, layout)
         alive = bitset.pack_rows(alive_bools, layout)
-        packed = PackedBackend().support_any(
-            matrix, alive, layout.seg_byte_starts
-        )
-        planes = PlanesBackend().support_any(
-            matrix, alive, layout.seg_byte_starts
-        )
-        np.testing.assert_array_equal(packed, planes)
-        # And both match the set-level truth: segment s of row a holds
-        # an alive partner.
+        # Both backends match the set-level truth: segment s of row a
+        # holds an alive partner.
         live = matrix_bools & alive_bools[None, :]
         expected = np.stack(
             [live[:, sl].any(axis=1) for sl in role_slices], axis=1
         )
-        np.testing.assert_array_equal(packed, expected)
-
-
-# ---------------------------------------------------------------------------
-# deprecation shims
-
-
-class TestBitsetShims:
-    def test_moved_kernels_warn_and_delegate(self):
-        layout = BitLayout((slice(0, 5), slice(5, 70)))
-        rng = np.random.default_rng(4)
-        bools = random_bools(rng, layout.nv)
-        words = bitset.pack_rows(bools, layout)
-        with pytest.warns(DeprecationWarning, match="repro.kernels.bitops"):
-            assert bitset.count_ones(words) == int(bools.sum())
-        with pytest.warns(DeprecationWarning):
+        for backend in (PackedBackend(), create_backend("native")):
             np.testing.assert_array_equal(
-                bitset.segment_counts(words, layout),
-                bitops.segment_counts(words, layout.seg_byte_starts),
+                backend.support_any(matrix, alive, layout.seg_byte_starts), expected
             )
-        matrix = bitset.pack_rows(random_bools(rng, (3, layout.nv)), layout)
-        with pytest.warns(DeprecationWarning):
-            np.testing.assert_array_equal(
-                bitset.or_segments(matrix, layout),
-                bitops.or_segments(matrix, layout.seg_byte_starts),
-            )
-
-    def test_and_accumulate_and_clear_shims(self):
-        layout = BitLayout((slice(0, 66),))
-        rng = np.random.default_rng(5)
-        target = bitset.pack_rows(random_bools(rng, layout.nv), layout)
-        mask = bitset.pack_rows(random_bools(rng, layout.nv), layout)
-        oracle_target = target.copy()
-        with pytest.warns(DeprecationWarning):
-            removed = bitset.and_accumulate(target, mask)
-        assert removed == bitops.and_accumulate(oracle_target, mask)
-        np.testing.assert_array_equal(target, oracle_target)
-
-        alive = bitset.pack_rows(np.ones(layout.nv, dtype=bool), layout)
-        matrix = bitset.pack_rows(
-            random_bools(rng, (layout.nv, layout.nv)), layout
-        )
-        oracle_alive = alive.copy()
-        oracle_matrix = matrix.copy()
-        indices = np.array([1, 64, 65], dtype=np.intp)
-        with pytest.warns(DeprecationWarning):
-            bitset.clear_rows_and_columns(alive, matrix, indices, layout)
-        bitops.clear_rows_and_columns(
-            oracle_alive, oracle_matrix, indices, bitset.keep_mask(indices, layout)
-        )
-        np.testing.assert_array_equal(alive, oracle_alive)
-        np.testing.assert_array_equal(matrix, oracle_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -316,17 +224,18 @@ class TestBitsetShims:
 class TestSessionBackendIdentity:
     SENTENCES = [["the", "program", "runs"], ["a", "program", "runs"]]
 
+    @requires_compiler
     @pytest.mark.parametrize("engine", available_engines())
-    def test_packed_and_numpy_backends_bit_identical(self, engine):
+    def test_packed_and_native_bit_identical(self, engine):
         grammar = program_grammar()
         for words in self.SENTENCES:
             results = {}
-            for backend in ("packed", "numpy"):
+            for backend in ("packed", "native"):
                 session = ParserSession(grammar, engine=engine, backend=backend)
                 result = session.parse(words)
                 assert result.stats.extra["kernel_backend"] == backend
                 results[backend] = result
-            a, b = results["packed"], results["numpy"]
+            a, b = results["packed"], results["native"]
             assert a.locally_consistent == b.locally_consistent
             assert a.ambiguous == b.ambiguous
             np.testing.assert_array_equal(
@@ -337,20 +246,15 @@ class TestSessionBackendIdentity:
             )
 
     def test_session_records_backend_name(self):
-        session = ParserSession(program_grammar(), backend="numpy")
+        session = ParserSession(program_grammar(), backend="native")
         result = session.parse(["the", "program", "runs"])
-        assert result.stats.extra["kernel_backend"] == "numpy"
-        assert isinstance(session.kernel_backend, PlanesBackend)
+        # On a host without a compiler this is the packed fallback.
+        assert session.kernel_backend is create_backend("native")
+        assert result.stats.extra["kernel_backend"] == session.kernel_backend.name
 
 
 # ---------------------------------------------------------------------------
 # native compiled backend
-
-requires_compiler = pytest.mark.skipif(
-    native_build.find_compiler() is None,
-    reason="no C compiler on this host (native backend falls back)",
-)
-
 
 @pytest.fixture
 def no_toolchain(monkeypatch, tmp_path):
@@ -450,122 +354,3 @@ class TestNativeFallback:
 
     def test_find_compiler_env_override_must_exist(self, no_toolchain):
         assert native_build.find_compiler() is None
-
-
-# ---------------------------------------------------------------------------
-# profile-guided auto backend
-
-
-@pytest.fixture
-def fresh_auto(monkeypatch, tmp_path):
-    """An AutoBackend with its persisted table isolated to tmp_path."""
-    monkeypatch.setenv(autotune.ENV_CACHE, str(tmp_path / "autotune.json"))
-    reset_backend_cache("auto")
-    yield autotune.AutoBackend()
-    reset_backend_cache("auto")
-
-
-class TestAutoBackend:
-    def test_bmm_identity_and_single_calibration_per_bucket(self, fresh_auto):
-        rng = np.random.default_rng(5)
-        a = bitops.pack_bits(random_bools(rng, (100, 100)))
-        b = bitops.pack_bits(random_bools(rng, (100, 130)))
-        expected = bmm_four_russians(a, b)
-        np.testing.assert_array_equal(fresh_auto.bmm(a, b), expected)
-        assert fresh_auto.calibrations == 1
-        np.testing.assert_array_equal(fresh_auto.bmm(a, b), expected)
-        assert fresh_auto.calibrations == 1  # same bucket: dispatch, no re-race
-
-    def test_empty_operands_skip_calibration(self, fresh_auto):
-        a = bitops.pack_bits(np.zeros((0, 5), dtype=bool))
-        b = bitops.pack_bits(np.zeros((5, 3), dtype=bool))
-        out = fresh_auto.bmm(a, b)
-        assert out.shape == (0, 1)
-        assert fresh_auto.calibrations == 0
-
-    def test_and_accumulate_race_preserves_in_place_contract(self, fresh_auto):
-        rng = np.random.default_rng(13)
-        target = bitops.pack_bits(random_bools(rng, (20, 100)))
-        mask = bitops.pack_bits(random_bools(rng, (20, 100)))
-        reference = target.copy()
-        delta_ref = PackedBackend().and_accumulate(reference, mask)
-        delta = fresh_auto.and_accumulate(target, mask)
-        assert delta == delta_ref
-        np.testing.assert_array_equal(target, reference)
-
-    def test_dispatch_table_round_trips_through_cache_file(self, fresh_auto):
-        rng = np.random.default_rng(3)
-        a = bitops.pack_bits(random_bools(rng, (64, 64)))
-        b = bitops.pack_bits(random_bools(rng, (64, 64)))
-        fresh_auto.bmm(a, b)
-        fresh_auto.count_ones(a)
-        assert fresh_auto.calibrations == 2
-        table = fresh_auto.dispatch_snapshot()
-        record = json.loads(autotune.cache_path().read_text())
-        assert record["version"] == autotune.CACHE_VERSION
-        assert record["host"] == autotune.host_fingerprint()
-        assert record["table"] == table
-        # A second "process" (fresh instance, same cache file) loads
-        # the table and never re-races.
-        second = autotune.AutoBackend()
-        assert second.dispatch_snapshot() == table
-        np.testing.assert_array_equal(second.bmm(a, b), fresh_auto.bmm(a, b))
-        assert second.calibrations == 0
-
-    def test_foreign_host_table_is_ignored(self, fresh_auto, monkeypatch, tmp_path):
-        path = tmp_path / "foreign.json"
-        path.write_text(json.dumps({
-            "version": autotune.CACHE_VERSION,
-            "host": {"platform": "elsewhere", "machine": "pdp11", "cpu_count": 1},
-            "table": {"bmm:20": "numpy"},
-        }))
-        monkeypatch.setenv(autotune.ENV_CACHE, str(path))
-        assert autotune.AutoBackend().dispatch_snapshot() == {}
-
-    def test_disagreeing_candidate_is_excluded(self, fresh_auto):
-        class LyingBackend(KernelBackend):
-            name = "lying"
-
-            def bmm(self, a_bits, b_bits):
-                out = PackedBackend().bmm(a_bits, b_bits)
-                out[...] = 0  # fast and wrong
-                return out
-
-        register_backend("lying", LyingBackend)
-        try:
-            rng = np.random.default_rng(17)
-            a = bitops.pack_bits(random_bools(rng, (80, 80)))
-            b = bitops.pack_bits(random_bools(rng, (80, 80)))
-            expected = bmm_four_russians(a, b)
-            with pytest.warns(RuntimeWarning, match="lying.*disagreed"):
-                out = fresh_auto.bmm(a, b)
-            np.testing.assert_array_equal(out, expected)
-            table = fresh_auto.dispatch_snapshot()
-            assert all(winner != "lying" for winner in table.values())
-            # Excluded for good: later buckets never race it again.
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                big_a = bitops.pack_bits(random_bools(rng, (160, 160)))
-                big_b = bitops.pack_bits(random_bools(rng, (160, 160)))
-                np.testing.assert_array_equal(
-                    fresh_auto.bmm(big_a, big_b), bmm_four_russians(big_a, big_b)
-                )
-        finally:
-            from repro.kernels import backend as backend_mod
-
-            backend_mod._REGISTRY.pop("lying", None)
-            backend_mod._INSTANCES.pop("lying", None)
-
-    def test_session_surfaces_dispatch_table(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(autotune.ENV_CACHE, str(tmp_path / "autotune.json"))
-        reset_backend_cache("auto")
-        try:
-            session = ParserSession(program_grammar(), backend="auto")
-            result = session.parse(["the", "program", "runs"])
-            assert result.stats.extra["kernel_backend"] == "auto"
-            dispatch = result.stats.extra["kernel_dispatch"]
-            assert isinstance(dispatch, dict)
-            known = set(available_backends())
-            assert all(winner in known for winner in dispatch.values())
-        finally:
-            reset_backend_cache("auto")
