@@ -27,6 +27,31 @@ shape replays the cached masks.  Through a
 throughput comes from; on the one-shot path the template is fresh each
 call and the cost is identical to direct evaluation.
 
+With no trace hook and no filter limit, the packed engine runs the
+**fused schedule**, whose work follows the values still alive rather
+than NV:
+
+* unary: one kill of the template's folded dead set
+  (``VectorMasks.unary_fold``).  Every bind starts fully alive, so the
+  per-constraint kill rounds end in a template constant, and so do
+  their ``unary_checks`` and kill counts.  A network that already has
+  kills runs the rounds;
+* binary: one word-wide AND of the fused mask (``VectorMasks.fused``);
+* consistency: :func:`~repro.propagation.consistency.settle_alive_block`
+  runs the sweep to quiescence on the K x K block of the K values still
+  alive (one ``support_any`` call over K rows per pass), then applies
+  the union of its kills with one ``kill``.  A sweep only kills values
+  and never clears an entry between two live values, and a dead value's
+  row and column are already zero, so the block holds every bit the
+  full-width sweep reads: the settled network and every counter are
+  identical.  When more than three quarters of the values are alive the
+  block saves less than it costs, and the full-width sweep runs.
+
+The MP-1 zeroes rows and columns in place instead of shrinking them
+(design decision 4); the per-constraint path keeps that form, full
+width, for trace hooks, ``filter_limit``, ``"vector-interleaved"`` and
+``"vector-bool"``.
+
 Results are bit-identical to :class:`repro.engines.serial.SerialEngine`
 on either core; only the wall-clock differs (by orders of magnitude,
 which is Table RES-T3's point).
@@ -39,7 +64,7 @@ import numpy as np
 from repro.engines.base import EngineStats, ParserEngine, TraceHook
 from repro.network.network import ConstraintNetwork
 from repro.pipeline.compiled import CompiledGrammar, compile_grammar
-from repro.propagation.consistency import consistency_step_vector
+from repro.propagation.consistency import consistency_step_vector, settle_alive_block
 from repro.propagation.filtering import filter_network
 
 
@@ -51,20 +76,23 @@ class VectorEngine(ParserEngine):
             materializes the boolean view and replays the identical
             dataflow byte-per-bool — the comparison baseline the
             memory benchmark needs; results are bit-identical.
-        fused: on the packed path, apply the precomputed word-wide AND
-            of all binary masks (``VectorMasks.fused``) in one shot and
-            run a single consistency fixpoint, instead of interleaving
-            per-constraint mask applications with full sweeps.  Sound
-            because Maruyama's eliminations are monotone: both
-            schedules converge to the same (unique) greatest fixpoint,
-            so final networks are bit-identical; only the sweep-order
-            stats (``consistency_passes``, ``filtering_iterations``,
-            and the kill/zero attribution between them) differ.  The
-            fused path only engages when no per-constraint observation
-            is requested (``trace is None`` and ``filter_limit is
-            None``); otherwise the engine falls back to the interleaved
-            schedule.  ``False`` (registered as ``"vector-interleaved"``)
-            forces the per-constraint schedule unconditionally.
+        fused: on the packed path, run the fused schedule (see the
+            module docstring): the folded unary kill, the precomputed
+            word-wide AND of all binary masks (``VectorMasks.fused``) in
+            one shot, and a single consistency fixpoint over the alive
+            block, instead of interleaving per-constraint mask
+            applications with full sweeps.  Sound because Maruyama's
+            eliminations are monotone: both schedules converge to the
+            same (unique) greatest fixpoint, so final networks are
+            bit-identical; only the sweep-order stats
+            (``consistency_passes``, ``filtering_iterations``, and the
+            kill/zero attribution between them) differ.  The fused path
+            only engages when no per-constraint observation is
+            requested (``trace is None`` and ``filter_limit is None``)
+            and the grammar has binary constraints; otherwise the engine
+            runs the per-constraint schedule.  ``False`` (registered as
+            ``"vector-interleaved"``) forces the per-constraint schedule
+            unconditionally.
     """
 
     name = "vector"
@@ -119,39 +147,21 @@ class VectorEngine(ParserEngine):
         filter_limit: int | None,
         trace: TraceHook | None,
     ) -> EngineStats:
+        if (
+            self.packed
+            and self.fused
+            and trace is None
+            and filter_limit is None
+            and masks.fused is not None
+        ):
+            return self._run_fused(network, masks=masks, compiled=compiled)
         stats = EngineStats()
-
-        # -- unary propagation: one cached permitted vector per constraint
-        for constraint, permitted in zip(compiled.unary, masks.unary, strict=True):
-            dead = np.nonzero(network.alive & ~permitted)[0]
-            stats.unary_checks += network.alive_count()
-            network.kill(dead)
-            stats.role_values_killed += len(dead)
-            if trace:
-                trace(f"unary:{constraint.name}", network)
+        self._unary_rounds(network, masks=masks, compiled=compiled, stats=stats, trace=trace)
         if trace:
             trace("unary-done", network)
 
-        # -- binary propagation ------------------------------------------
-        fused_mask = (
-            masks.fused
-            if (self.packed and self.fused and trace is None and filter_limit is None)
-            else None
-        )
-        if fused_mask is not None:
-            # Fused fast path: every pair still gets checked against
-            # every binary constraint — the checks were just folded into
-            # one precomputed mask at template-build time — so
-            # ``pair_checks`` accounts for all k_b constraints.  The
-            # final ``filter_network`` fixpoint below replaces the
-            # per-constraint interleaved sweeps.
-            stats.pair_checks += network.nv * network.nv * len(compiled.binary)
-            stats.matrix_entries_zeroed += network.apply_pair_mask_bits(fused_mask)
-            stats.extra["fused_binary_kernel"] = True
-            return self._finish(network, stats, filter_limit=filter_limit, trace=trace)
-
-        # Interleaved schedule: one cached mask per constraint, each
-        # followed by a full consistency sweep (the traceable path).
+        # -- binary propagation: the interleaved schedule, one cached mask
+        # per constraint, each followed by a full consistency sweep.
         for constraint, both in zip(compiled.binary, masks.binary, strict=True):
             stats.pair_checks += network.nv * network.nv
             if self.packed:
@@ -169,16 +179,6 @@ class VectorEngine(ParserEngine):
             if trace:
                 trace(f"consistency:{constraint.name}", network)
 
-        return self._finish(network, stats, filter_limit=filter_limit, trace=trace)
-
-    def _finish(
-        self,
-        network: ConstraintNetwork,
-        stats: EngineStats,
-        *,
-        filter_limit: int | None,
-        trace: TraceHook | None,
-    ) -> EngineStats:
         # -- filtering ----------------------------------------------------
 
         def counting_step(net: ConstraintNetwork) -> int:
@@ -195,3 +195,60 @@ class VectorEngine(ParserEngine):
         # memory benchmark compares these numbers across the two cores.
         stats.extra["network_bytes"] = network.state_nbytes()
         return stats
+
+    def _run_fused(
+        self,
+        network: ConstraintNetwork,
+        *,
+        masks,
+        compiled: CompiledGrammar,
+    ) -> EngineStats:
+        """The no-trace, no-limit schedule; its work follows the alive values.
+
+        One kill of the template's folded unary dead set (the rounds
+        themselves on a network that already has kills, since the fold
+        assumes a fresh bind), one AND of the fused binary mask, then
+        the consistency fixpoint on the block of values still alive.
+        Every counter equals the unfolded form's (unary rounds one
+        constraint at a time, then the full-width sweep):
+        ``pair_checks`` still counts all k_b constraints per pair, since
+        their checks were folded into the mask at template build, not
+        skipped.
+        """
+        stats = EngineStats()
+        if network.fully_alive():
+            fold = masks.unary_fold
+            network.kill(fold.dead)
+            stats.unary_checks = fold.unary_checks
+            stats.role_values_killed = fold.dead.size
+        else:
+            # Earlier kills (``apply_constraint``) change what each round
+            # sees, so the fold's counters do not apply: run the rounds.
+            self._unary_rounds(network, masks=masks, compiled=compiled, stats=stats)
+        stats.pair_checks = network.nv * network.nv * len(compiled.binary)
+        stats.matrix_entries_zeroed = network.apply_pair_mask_bits(masks.fused)
+        settled = settle_alive_block(network)
+        stats.role_values_killed += settled.role_values_killed
+        stats.consistency_passes = settled.consistency_passes
+        stats.filtering_iterations = settled.filtering_iterations
+        stats.extra["fused_binary_kernel"] = True
+        stats.extra["network_bytes"] = network.state_nbytes()
+        return stats
+
+    @staticmethod
+    def _unary_rounds(
+        network: ConstraintNetwork,
+        *,
+        masks,
+        compiled: CompiledGrammar,
+        stats: EngineStats,
+        trace: TraceHook | None = None,
+    ) -> None:
+        """Unary propagation: one cached permitted vector per constraint."""
+        for constraint, permitted in zip(compiled.unary, masks.unary, strict=True):
+            dead = np.nonzero(network.alive & ~permitted)[0]
+            stats.unary_checks += network.alive_count()
+            network.kill(dead)
+            stats.role_values_killed += len(dead)
+            if trace:
+                trace(f"unary:{constraint.name}", network)

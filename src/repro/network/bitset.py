@@ -196,3 +196,8 @@ def keep_mask(indices: np.ndarray, layout: BitLayout) -> np.ndarray:
     """The packed complement of :func:`member_mask`: every *valid* bit
     except *indices* (padding stays clear, preserving the invariant)."""
     return member_mask(indices, layout) ^ layout.full_words
+
+
+def clear_members(row_words: np.ndarray, indices: np.ndarray, layout: BitLayout) -> None:
+    """Clear the given indices' bits of a packed (n_words,) row in place."""
+    np.bitwise_and(row_words, keep_mask(indices, layout), out=row_words)

@@ -354,6 +354,12 @@ class ConstraintNetwork:
             return int(self._alive_cache.sum())
         return self.kernels().count_ones(self.alive_bits)
 
+    def fully_alive(self) -> bool:
+        """True while no role value has been killed, as after a fresh bind."""
+        if self._bool_mode:
+            return bool(self._alive_cache.all())
+        return bool(np.array_equal(self.alive_bits, self.bit_layout.full_words))
+
     # -- arc queries -------------------------------------------------------------
 
     def arc_matrix(self, role_a: int, role_b: int) -> np.ndarray:

@@ -174,30 +174,45 @@ class ParserSession:
             )
         try:
             sent = self.tokenize(sentence)
-            network = self.template_for(sent).bind(sent)
-            if trace:
-                trace("built", network)
             limit = self.filter_limit if filter_limit is _UNSET else filter_limit
-            started = time.perf_counter()
-            stats = self.engine.run(
-                network, compiled=self.compiled, filter_limit=limit, trace=trace
-            )
-            stats.wall_seconds = time.perf_counter() - started
-            stats.engine = self.engine.name
-            # Memory accounting: engines that work on a boolean
-            # representation record their own footprint before their
-            # finally-repack; default to the settled (packed) state.
-            stats.extra.setdefault("network_bytes", network.state_nbytes())
-            stats.extra["template_cache_bytes"] = self.cached_bytes()
-            stats.extra.setdefault("kernel_backend", self.kernel_backend.name)
-            return ParseResult(
-                network=network,
-                locally_consistent=network.all_domains_nonempty(),
-                ambiguous=network.is_ambiguous(),
-                stats=stats,
-            )
+            return self._settle(sent, self.template_for(sent), filter_limit=limit, trace=trace)
         finally:
             self._parse_guard.release()
+
+    def _settle(
+        self,
+        sent: Sentence,
+        template: NetworkTemplate,
+        *,
+        filter_limit: int | None,
+        trace: TraceHook | None = None,
+    ) -> ParseResult:
+        """Bind *template* for *sent* and run the engine: every parse's body.
+
+        Callers hold the parse guard.  ``parse`` looks the template up;
+        a stream passes the prefix-extended template it just grew.
+        """
+        network = template.bind(sent)
+        if trace:
+            trace("built", network)
+        started = time.perf_counter()
+        stats = self.engine.run(
+            network, compiled=self.compiled, filter_limit=filter_limit, trace=trace
+        )
+        stats.wall_seconds = time.perf_counter() - started
+        stats.engine = self.engine.name
+        # Memory accounting: engines that work on a boolean
+        # representation record their own footprint before their
+        # finally-repack; default to the settled (packed) state.
+        stats.extra.setdefault("network_bytes", network.state_nbytes())
+        stats.extra["template_cache_bytes"] = self.cached_bytes()
+        stats.extra.setdefault("kernel_backend", self.kernel_backend.name)
+        return ParseResult(
+            network=network,
+            locally_consistent=network.all_domains_nonempty(),
+            ambiguous=network.is_ambiguous(),
+            stats=stats,
+        )
 
     def parse_many(
         self,

@@ -7,22 +7,26 @@ blocks, so prior eliminations remain valid and propagation can resume
 instead of reparsing from scratch.
 
 What actually carries over is the **pre-fixpoint** state: the network
-after sequential unary kills and the fused binary mask, *before*
-consistency maintenance.  That state is prefix-stable — elementwise
-constraint evaluation over the old role values does not depend on
-sentence length, so every old-value elimination (and every surviving
-matrix bit) is exactly what a fresh parse of the longer prefix would
-produce at the same point.  The *settled* state is not: consistency
-kills are support-based, and the new word's role values can restore
-support to a value an earlier fixpoint eliminated.
+after the unary kills and the fused binary mask, *before* consistency
+maintenance.  That state is prefix-stable — elementwise constraint
+evaluation over the old role values does not depend on sentence
+length, so every old-value elimination (and every surviving matrix bit)
+is exactly what a fresh parse of the longer prefix would produce at
+the same point.  The *settled* state is not: consistency kills are
+support-based, and the new word's role values can restore support to a
+value an earlier fixpoint eliminated.
 
-Prefix-stability has a sharper consequence the fast path exploits: the
+Prefix-stability has a sharper consequence streams exploit: the
 pre-fixpoint state is a *pure function of the extended template's
 masks*.  Binding the extended template fresh and re-applying the
 (incrementally extended) masks reconstructs it bit for bit, without
 touching the predecessor network — so the carried state a stream needs
-is exactly the masks the prefix-extended template already caches, and
-the per-token arc-matrix work stays on the cheap word-wide AND path.
+is exactly the masks the prefix-extended template already caches.  A
+stream step is therefore the session's own parse body on that
+template: a fresh bind and the engine's fused schedule, which kills the
+folded unary dead set, ANDs the fused mask and settles the fixpoint on
+the block of values still alive.  ``parse``, ``parse_many``, streams, the
+service, pool workers and cluster shards all run that one schedule.
 The explicit embedding form
 (:meth:`~repro.network.network.ConstraintNetwork.extend_from` +
 :func:`~repro.propagation.incremental.resume_propagation`) exists for
@@ -30,29 +34,27 @@ the state that is **not** recomputable from grammar masks — a network
 refined by staged extra constraints
 (:func:`~repro.propagation.incremental.apply_constraint`) — and
 reaches the identical settled network on plain grammar state, which the
-streaming tests assert.  Either way the consistency fixpoint reruns in
-full; determinism of the sweep then makes the settled network, the
-verdict, and every elimination counter bit-identical to a fresh full
-parse of the prefix.  Tests sweep that invariant per word, per engine.
+streaming tests assert.  Either way the consistency fixpoint reruns;
+determinism of the sweep then makes the settled network, the verdict,
+and every elimination counter bit-identical to a fresh full parse of
+the prefix.  Tests sweep that invariant per word, per engine.
 
-The fast resumable path engages exactly when the session's engine is
-the fused packed :class:`~repro.engines.vector.VectorEngine` with no
-filter limit — the same gate the engine itself uses for its fused
-kernel.  Any other configuration falls back to a fresh
-``session.parse`` of the prefix (still sharing the prefix-extended
-template, so the O(NV^2) build work is incremental either way).
+Every step runs the session's engine on the prefix-extended template,
+whatever the engine, so the O(NV^2) build work is incremental for all
+of them.  Results of the fused schedule (the packed
+:class:`~repro.engines.vector.VectorEngine` with no filter limit, the
+same gate the engine itself uses) are marked
+``stats.extra["streamed"]``.
 """
 
 from __future__ import annotations
 
-import time
 from typing import TYPE_CHECKING
 
-from repro.engines.base import EngineStats, ParseResult
+from repro.engines.base import ParseResult
 from repro.engines.vector import VectorEngine
 from repro.errors import ConcurrentSessionUse, StreamError
 from repro.grammar.grammar import Sentence
-from repro.propagation.incremental import apply_masks, run_filtering
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.pipeline.session import ParserSession
@@ -120,10 +122,7 @@ class StreamingParse:
         sent = session.tokenize([*self._words, word])
         try:
             template = session.template_for(sent, prefix=self._template)
-            if self._fast_path():
-                result = self._advance_fast(sent, template)
-            else:
-                result = session.parse(sent)
+            result = self._settle(sent, template)
         except BaseException:
             self._broken = True
             raise
@@ -133,14 +132,12 @@ class StreamingParse:
         return result
 
     def _fast_path(self) -> bool:
-        """True when the resumable packed/fused path applies.
+        """True when the step runs the fused schedule (``streamed`` marks it).
 
-        The gate mirrors the vector engine's own fused-kernel gate: the
-        packed fused schedule with no filter limit.  Everything else
+        The gate mirrors the vector engine's own fused gate: the packed
+        fused schedule with no filter limit.  Every other configuration
         (interleaved, boolean, serial, simulated machines, bounded
-        filtering) reparses the prefix fresh through ``session.parse``
-        — bit-identical by engine determinism, just not incremental in
-        the propagation.
+        filtering) runs its own engine on the same extended template.
         """
         engine = self._session.engine
         return (
@@ -150,9 +147,7 @@ class StreamingParse:
             and self._session.filter_limit is None
         )
 
-    def _advance_fast(
-        self, sent: Sentence, template: "NetworkTemplate"
-    ) -> ParseResult:
+    def _settle(self, sent: Sentence, template: "NetworkTemplate") -> ParseResult:
         session = self._session
         if not session._parse_guard.acquire(blocking=False):
             raise ConcurrentSessionUse(
@@ -161,44 +156,12 @@ class StreamingParse:
                 "streams to feed tokens from multiple threads"
             )
         try:
-            started = time.perf_counter()
-            compiled = session.compiled
-            masks = template.vector_masks(compiled)
-            # The pre-fixpoint state is a pure function of the extended
-            # masks (prefix-stability, see the module docstring), so the
-            # resume is a fresh bind of the prefix-extended template plus
-            # the mask application — the incremental work already
-            # happened when the template extended its cached masks.
-            network = template.bind(sent)
-            mask_stats = apply_masks(network, masks.unary, masks.fused)
-            fixpoint = run_filtering(network)
-
-            nv = template.nv
-            stats = EngineStats()
-            stats.engine = session.engine.name
-            alive_before = nv
-            for killed in mask_stats.unary_killed:
-                stats.unary_checks += alive_before
-                alive_before -= killed
-            stats.pair_checks = nv * nv * len(compiled.binary)
-            stats.role_values_killed = (
-                sum(mask_stats.unary_killed) + fixpoint.role_values_killed
-            )
-            stats.matrix_entries_zeroed = mask_stats.matrix_entries_zeroed
-            stats.consistency_passes = fixpoint.consistency_passes
-            stats.filtering_iterations = fixpoint.filtering_iterations
-            if masks.fused is not None:
-                stats.extra["fused_binary_kernel"] = True
-            stats.extra["streamed"] = True
-            stats.extra["network_bytes"] = network.state_nbytes()
-            stats.extra["template_cache_bytes"] = session.cached_bytes()
-            stats.wall_seconds = time.perf_counter() - started
-
-            return ParseResult(
-                network=network,
-                locally_consistent=network.all_domains_nonempty(),
-                ambiguous=network.is_ambiguous(),
-                stats=stats,
-            )
+            # The session's own parse body on the template this step just
+            # grew: no second lookup, and the session's engine and filter
+            # limit, as in every other entry point.
+            result = session._settle(sent, template, filter_limit=session.filter_limit)
         finally:
             session._parse_guard.release()
+        if self._fast_path():
+            result.stats.extra["streamed"] = True
+        return result

@@ -29,7 +29,7 @@ corrupting later parses.
 from __future__ import annotations
 
 import functools
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
@@ -50,6 +50,13 @@ ShapeKey = tuple[frozenset[int], ...]
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
+
+
+class UnaryFold(NamedTuple):
+    """The per-constraint unary kill rounds folded into one kill."""
+
+    dead: np.ndarray  # global indices the AND of every unary vector rejects
+    unary_checks: int  # alive values the rounds would check, from a fresh bind
 
 
 class VectorMasks:
@@ -79,9 +86,12 @@ class VectorMasks:
     ``(NV, NV)`` masks is the dominant cost of an extension step.  The
     first ``binary`` access (interleaved/boolean engines, the process
     store, introspection) evaluates and memoizes them.
+
+    ``unary_fold`` is the fused path's unary phase: one dead set plus
+    the counter total, derived lazily from ``unary`` alone.
     """
 
-    __slots__ = ("unary", "_binary", "_binary_thunk", "fused", "packed")
+    __slots__ = ("unary", "_binary", "_binary_thunk", "fused", "packed", "_unary_fold")
 
     def __init__(
         self,
@@ -98,6 +108,31 @@ class VectorMasks:
         self._binary_thunk = binary_thunk
         self.fused = fused
         self.packed = packed
+        self._unary_fold: UnaryFold | None = None
+
+    @property
+    def unary_fold(self) -> UnaryFold:
+        """The unary rounds of a fresh bind as one dead set (lazy, frozen).
+
+        Every bind starts fully alive, so the per-constraint rounds end
+        in a template constant: the values the AND of ``unary`` rejects,
+        and a ``unary_checks`` total that sums the alive count each
+        round starts from.  Killing the set at once leaves the same
+        bits, since a kill only zeroes a value's row and column.
+        """
+        if self._unary_fold is None:
+            alive = np.ones_like(self.unary[0]) if self.unary else np.ones(0, dtype=bool)
+            checks = 0
+            for permitted in self.unary:
+                checks += int(np.count_nonzero(alive))
+                alive &= permitted
+            self._unary_fold = UnaryFold(_frozen(np.flatnonzero(~alive)), checks)
+        return self._unary_fold
+
+    @property
+    def unary_folded(self) -> bool:
+        """True once ``unary_fold`` has been computed."""
+        return self._unary_fold is not None
 
     @property
     def binary(self) -> tuple[np.ndarray, ...]:
@@ -608,6 +643,7 @@ class NetworkTemplate:
             self._scratch_bits is not None,
             self._masks is not None,
             self._masks is not None and self._masks.binary_materialized,
+            self._masks is not None and self._masks.unary_folded,
             self._masks_bool is not None,
         )
         if self._nbytes_cache is not None and self._nbytes_cache[0] == state:
@@ -630,6 +666,8 @@ class NetworkTemplate:
                 total += sum(m.nbytes for m in self._masks.binary)
             if self._masks.fused is not None:
                 total += self._masks.fused.nbytes
+            if self._masks.unary_folded:
+                total += self._masks.unary_fold.dead.nbytes
         if self._masks_bool is not None:
             total += sum(m.nbytes for m in self._masks_bool.binary)
         self._nbytes_cache = (state, total)

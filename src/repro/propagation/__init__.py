@@ -3,12 +3,12 @@
 from repro.propagation.consistency import (
     consistency_step_serial,
     consistency_step_vector,
+    settle_alive_block,
     unsupported_serial,
     unsupported_vector,
 )
-from repro.propagation.filtering import filter_network
+from repro.propagation.filtering import FixpointStats, filter_network
 from repro.propagation.incremental import (
-    FixpointStats,
     MaskStats,
     apply_constraint,
     apply_constraints,
@@ -27,6 +27,7 @@ __all__ = [
     "FixpointStats",
     "consistency_step_serial",
     "consistency_step_vector",
+    "settle_alive_block",
     "unsupported_serial",
     "unsupported_vector",
     "filter_network",

@@ -17,11 +17,19 @@ so one fixpoint loop serves both execution cores.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from repro.network.network import ConstraintNetwork
 
 ConsistencyStep = Callable[[ConstraintNetwork], int]
+
+
+class FixpointStats(NamedTuple):
+    """Counters of one consistency fixpoint, counted as the engines count them."""
+
+    role_values_killed: int
+    consistency_passes: int  # sweeps executed, including the final quiet one
+    filtering_iterations: int  # sweeps that eliminated something
 
 
 def filter_network(

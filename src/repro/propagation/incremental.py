@@ -17,9 +17,19 @@ the settled network of a fresh full parse by re-applying the extended
 masks — idempotent on the carried-over bits, so only the new word's
 blocks actually change — and running consistency to quiescence.
 :func:`apply_masks` / :func:`run_filtering` are that resumable fixpoint
-entry point, split so the streaming layer can snapshot the
-pre-filtering state between them; :func:`resume_propagation` is the
-composed convenience form.
+entry point, split so a caller can snapshot the pre-filtering state
+between them; :func:`resume_propagation` is the composed convenience
+form.
+
+They also spell the vector engine's fused schedule out one step at a
+time (a kill per unary vector, the fused mask, the full-width sweep),
+which makes them its reference.  The engine folds the unary kills into
+one and settles on the block of values still alive
+(:func:`~repro.propagation.consistency.settle_alive_block`, which is
+:func:`run_filtering` itself when most values are alive): a sweep only
+kills, an entry between two live values never changes, and a dead
+value's row and column are zero, so the bits and every counter match.
+Streams run the engine itself on the prefix-extended template.
 """
 
 from __future__ import annotations
@@ -31,8 +41,8 @@ import numpy as np
 from repro.constraints import Constraint, VectorEnv
 from repro.network import bitset
 from repro.network.network import ConstraintNetwork
-from repro.propagation.consistency import consistency_step_vector
-from repro.propagation.filtering import filter_network
+from repro.propagation.consistency import consistency_step_vector, run_filtering
+from repro.propagation.filtering import FixpointStats, filter_network
 
 
 def apply_constraint(
@@ -93,14 +103,6 @@ class MaskStats(NamedTuple):
     matrix_entries_zeroed: int  # bits cleared by the fused mask application
 
 
-class FixpointStats(NamedTuple):
-    """Counters of one :func:`run_filtering` fixpoint."""
-
-    role_values_killed: int
-    consistency_passes: int  # sweeps executed, including the final quiet one
-    filtering_iterations: int  # sweeps that eliminated something
-
-
 def apply_masks(
     network: ConstraintNetwork,
     unary_masks: "tuple[np.ndarray, ...]",
@@ -113,8 +115,8 @@ def apply_masks(
     the new word's work, because the carried-over bits already satisfy
     every mask (old-value eliminations are prefix-stable), and a
     word-wide AND is how the packed core expresses "only the new
-    blocks" anyway.  Unary kills run in constraint order, matching the
-    fused vector engine's schedule bit for bit.
+    blocks" anyway.  Unary kills run in constraint order; the fused
+    vector engine's single folded kill reaches the same bits.
     """
     killed: list[int] = []
     for permitted in unary_masks:
@@ -125,34 +127,6 @@ def apply_masks(
     if fused_mask is not None:
         zeroed = network.apply_pair_mask_bits(fused_mask)
     return MaskStats(unary_killed=tuple(killed), matrix_entries_zeroed=zeroed)
-
-
-def run_filtering(
-    network: ConstraintNetwork, *, filter_limit: int | None = None
-) -> FixpointStats:
-    """Run consistency maintenance to quiescence, with engine-grade counts.
-
-    The pass accounting matches :class:`~repro.engines.vector.VectorEngine`
-    exactly (every sweep counts as a pass, including the final one that
-    eliminates nothing; ``filtering_iterations`` counts only productive
-    sweeps), so streamed stats can be reconciled with fresh-parse stats.
-    """
-    kills = 0
-    passes = 0
-
-    def counting_step(net: ConstraintNetwork) -> int:
-        nonlocal kills, passes
-        step_kills = consistency_step_vector(net)
-        kills += step_kills
-        passes += 1
-        return step_kills
-
-    iterations = filter_network(network, counting_step, limit=filter_limit)
-    return FixpointStats(
-        role_values_killed=kills,
-        consistency_passes=passes,
-        filtering_iterations=iterations,
-    )
 
 
 def resume_propagation(

@@ -12,11 +12,13 @@ word its role value modifies (no edge for a ``nil`` modifiee).
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.constraints.symbols import NIL_MOD, SymbolTable
 from repro.network.rolevalue import RoleValue
+
+if TYPE_CHECKING:  # pragma: no cover - types only
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -44,8 +46,14 @@ class PrecedenceGraph:
     def role_value(self, pos: int, role: int) -> RoleValue:
         return self.mapping()[(pos, role)]
 
-    def to_networkx(self, symbols: SymbolTable) -> nx.MultiDiGraph:
-        """Render as a labelled multigraph: word nodes, modifiee edges."""
+    def to_networkx(self, symbols: SymbolTable) -> "nx.MultiDiGraph":
+        """Render as a labelled multigraph: word nodes, modifiee edges.
+
+        networkx is imported here, its only user, so that ``import
+        repro`` does not load it.
+        """
+        import networkx as nx
+
         graph = nx.MultiDiGraph()
         for pos, word in enumerate(self.words, start=1):
             graph.add_node(pos, word=word)

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro import (
@@ -122,3 +127,16 @@ class TestPrecedenceGraph:
         graph = extract_parses(result.network)[0].to_networkx(toy_grammar.symbols)
         assert graph.nodes[2]["word"] == "program"
         assert graph.number_of_nodes() == 3
+
+    def test_import_repro_leaves_networkx_unloaded(self):
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys, repro; print('networkx' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
