@@ -2,16 +2,12 @@
 
 The incremental streaming core's claim: growing a parsed prefix by one
 word (``StreamingParse.extend``) costs less than reparsing the grown
-prefix from scratch, because
-
-* the network template is *prefix-extended* — the frozen packed base
-  matrix and cached constraint masks of the k-word shape are scattered
-  into the (k+1)-word layout instead of rebuilt, so streaming an n-word
-  sentence performs one cumulative build (``full=1, extended=n-1``),
-  and
-* propagation *resumes* — the retained pre-fixpoint state of the prior
-  prefix is embedded (:meth:`ConstraintNetwork.extend_from`) and only
-  the new word's blocks change under the re-applied masks.
+prefix from scratch, because the network template is *prefix-extended*:
+the cached constraint masks of the k-word shape are scattered into the
+(k+1)-word layout and only the new word's cross strips are evaluated,
+so streaming an n-word sentence performs one cumulative build
+(``full=1, extended=n-1``).  Each step then binds that template and
+runs the session's engine, as a parse would.
 
 Eliminations are monotone and the consistency sweep deterministic, so
 the streamed settled network must be **bit-identical** to a fresh parse

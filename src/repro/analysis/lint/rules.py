@@ -75,9 +75,7 @@ from repro.analysis.lint.framework import (
 )
 
 #: Accessors whose results are shared, frozen template state.
-_SHARED_ACCESSORS = frozenset(
-    {"vector_masks", "vector_masks_bool", "unary_fields", "pair_fields"}
-)
+_SHARED_ACCESSORS = frozenset({"vector_masks", "unary_fields", "pair_fields"})
 _SHARED_ATTRIBUTES = frozenset({"base_matrix", "base_bits"})
 
 #: ndarray methods that mutate in place.
@@ -297,8 +295,8 @@ def _contains(root: ast.AST, node: ast.AST) -> bool:
 
 @register_rule
 class InplaceOnShared(LintRule):
-    """RPR003: arrays handed out by ``vector_masks``/``vector_masks_bool``
-    /``unary_fields``/``pair_fields``/``base_matrix`` are shared across
+    """RPR003: arrays handed out by ``vector_masks``/``unary_fields``/
+    ``pair_fields``/``base_matrix`` are shared across
     every network of a shape; in-place numpy mutation of them corrupts
     later parses (the arrays are frozen, but ``out=`` and ufunc
     in-place paths can bypass a stale check)."""
@@ -762,11 +760,9 @@ class WriteThroughAttached(LintRule):
 class ExtendMustNotThaw(LintRule):
     """RPR011: the streaming core's contract is that ``extend*`` methods
     grow *new* state from a frozen predecessor — ``NetworkTemplate.extend``
-    scatters the prefix's packed base matrix into a fresh layout,
-    ``ConstraintNetwork.extend_from`` embeds the previous network's bits
-    into a freshly bound one — and the predecessor stays bit-identical
-    throughout (the prefix template stays cached; the prior network is
-    the streaming layer's retained truth).  Any in-place write to an
+    scatters the prefix's cached masks into a fresh layout — and the
+    predecessor stays bit-identical throughout (the prefix template
+    stays cached for every other holder).  Any in-place write to an
     array reachable from an ``extend*`` function's parameters (item
     assignment, ``&=``, in-place ndarray methods, ``out=``) thaws that
     frozen input and silently corrupts every other holder of it.

@@ -28,6 +28,7 @@ from pathlib import Path
 from repro.cluster.errors import ClusterError
 from repro.cluster.loadgen import _percentile
 
+_READY = re.compile(r"^\S+ shard=(?P<shard>\d+) event=ready\b")
 _RECV = re.compile(
     r"^(?P<ts>\S+) shard=(?P<shard>\d+) event=recv conn=(?P<conn>\d+) "
     r"id=(?P<id>\d+) kind=(?P<kind>\S+)"
@@ -51,7 +52,8 @@ def parse_log_text(text: str) -> dict:
 
     Returns ``recv`` / ``done`` maps keyed by ``(shard, conn, id)`` —
     earliest timestamp wins on duplicates — plus reject tallies by kind
-    and the shard ids seen.
+    and the shard ids seen.  A shard counts from its ``ready`` line, so
+    one the hash ring sent no request still appears.
     """
     recv: dict = {}
     done: dict = {}
@@ -78,6 +80,10 @@ def parse_log_text(text: str) -> dict:
         if match:
             kind = match["kind"]
             rejects[kind] = rejects.get(kind, 0) + 1
+            shards.add(int(match["shard"]))
+            continue
+        match = _READY.match(line)
+        if match:
             shards.add(int(match["shard"]))
     return {"recv": recv, "done": done, "rejects": rejects, "shards": sorted(shards)}
 

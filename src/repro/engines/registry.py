@@ -61,8 +61,6 @@ def _ensure_builtin() -> None:
     _REGISTRY.setdefault("serial", SerialEngine)
     _REGISTRY.setdefault("serial-exhaustive", lambda: SerialEngine(exhaustive=True))
     _REGISTRY.setdefault("vector", VectorEngine)
-    _REGISTRY.setdefault("vector-bool", lambda: VectorEngine(packed=False))
-    _REGISTRY.setdefault("vector-interleaved", lambda: VectorEngine(fused=False))
     _REGISTRY.setdefault("pram", PRAMEngine)
     _REGISTRY.setdefault("maspar", MasParEngine)
     _REGISTRY.setdefault("mesh", MeshEngine)

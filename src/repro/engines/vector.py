@@ -8,15 +8,13 @@ the segmented OR-along-rows / AND-across-arcs sweep from
 :mod:`repro.propagation.consistency` — the same dataflow the MasPar
 performs with ``scanOr``/``scanAnd`` (Figures 10 and 12).
 
-By default the engine runs on the **packed execution core**: arc
-matrices, alive vector and the cached binary masks are uint64 bit
-arrays (:mod:`repro.network.bitset`), so binary propagation is one
-word-wide AND with a popcount delta and the consistency sweep touches
-1/8th of the memory of the byte representation — the software analogue
+The engine runs on the **packed execution core**: arc matrices, alive
+vector and the cached binary masks are uint64 bit arrays
+(:mod:`repro.network.bitset`), so binary propagation is one word-wide
+AND with a popcount delta and the consistency sweep touches 1/8th of
+the memory of a byte-per-bool representation — the software analogue
 of the MP-1 pushing single-bit flags through 4-bit PEs.
-``VectorEngine(packed=False)`` (registered as ``"vector-bool"``) keeps
-the byte-per-bool path alive for memory/throughput comparison;
-``benchmarks/bench_memory.py`` measures the two against each other.
+``BENCH_memory.json`` records the footprint against that byte form.
 
 The constraint evaluations themselves are pure functions of the
 network's *template* (field arrays + category table), so the engine
@@ -27,9 +25,9 @@ shape replays the cached masks.  Through a
 throughput comes from; on the one-shot path the template is fresh each
 call and the cost is identical to direct evaluation.
 
-With no trace hook and no filter limit, the packed engine runs the
-**fused schedule**, whose work follows the values still alive rather
-than NV:
+The call picks the schedule.  With no trace hook, no filter limit and
+at least one binary constraint, the engine runs the **fused schedule**,
+whose work follows the values still alive rather than NV:
 
 * unary: one kill of the template's folded dead set
   (``VectorMasks.unary_fold``).  Every bind starts fully alive, so the
@@ -47,14 +45,19 @@ than NV:
   identical.  When more than three quarters of the values are alive the
   block saves less than it costs, and the full-width sweep runs.
 
-The MP-1 zeroes rows and columns in place instead of shrinking them
-(design decision 4); the per-constraint path keeps that form, full
-width, for trace hooks, ``filter_limit``, ``"vector-interleaved"`` and
-``"vector-bool"``.
+Otherwise it runs the **per-constraint schedule**: one unary round and
+one cached mask per constraint, each binary mask followed by a full
+consistency sweep, so a trace hook observes every step and
+``filter_limit`` bounds the sweeps.  The MP-1 zeroes rows and columns
+in place instead of shrinking them (design decision 4); this schedule
+keeps that form, full width.  Both schedules reach the same (unique)
+greatest fixpoint, so the settled networks are bit-identical; only the
+sweep-order counters (``consistency_passes``, ``filtering_iterations``
+and the kill/zero attribution between them) differ.
 
 Results are bit-identical to :class:`repro.engines.serial.SerialEngine`
-on either core; only the wall-clock differs (by orders of magnitude,
-which is Table RES-T3's point).
+on either schedule; only the wall-clock differs (by orders of
+magnitude, which is Table RES-T3's point).
 """
 
 from __future__ import annotations
@@ -69,41 +72,15 @@ from repro.propagation.filtering import filter_network
 
 
 class VectorEngine(ParserEngine):
-    """Vectorized (numpy broadcast) implementation.
+    """Vectorized (numpy broadcast) implementation on the packed core.
 
-    Args:
-        packed: run on the packed bit matrices (default).  ``False``
-            materializes the boolean view and replays the identical
-            dataflow byte-per-bool — the comparison baseline the
-            memory benchmark needs; results are bit-identical.
-        fused: on the packed path, run the fused schedule (see the
-            module docstring): the folded unary kill, the precomputed
-            word-wide AND of all binary masks (``VectorMasks.fused``) in
-            one shot, and a single consistency fixpoint over the alive
-            block, instead of interleaving per-constraint mask
-            applications with full sweeps.  Sound because Maruyama's
-            eliminations are monotone: both schedules converge to the
-            same (unique) greatest fixpoint, so final networks are
-            bit-identical; only the sweep-order stats
-            (``consistency_passes``, ``filtering_iterations``, and the
-            kill/zero attribution between them) differ.  The fused path
-            only engages when no per-constraint observation is
-            requested (``trace is None`` and ``filter_limit is None``)
-            and the grammar has binary constraints; otherwise the engine
-            runs the per-constraint schedule.  ``False`` (registered as
-            ``"vector-interleaved"``) forces the per-constraint schedule
-            unconditionally.
+    The schedule follows from the call (see the module docstring): the
+    fused schedule when no per-constraint observation is requested
+    (``trace is None`` and ``filter_limit is None``) and the grammar has
+    binary constraints, the per-constraint schedule otherwise.
     """
 
     name = "vector"
-
-    def __init__(self, packed: bool = True, fused: bool = True):
-        self.packed = packed
-        self.fused = fused
-        if not packed:
-            self.name = "vector-bool"
-        elif not fused:
-            self.name = "vector-interleaved"
 
     def run(
         self,
@@ -114,62 +91,19 @@ class VectorEngine(ParserEngine):
         trace: TraceHook | None = None,
     ) -> EngineStats:
         compiled = compiled or compile_grammar(network.grammar)
-        if self.packed:
-            masks = network.template.vector_masks(compiled)
-            return self._run(
-                network,
-                masks=masks,
-                compiled=compiled,
-                filter_limit=filter_limit,
-                trace=trace,
-            )
-        # Byte-per-bool comparison path: bracket the boolean working
-        # representation so the network comes back packed even on error.
-        network.materialize_bool()
-        try:
-            masks = network.template.vector_masks_bool(compiled)
-            return self._run(
-                network,
-                masks=masks,
-                compiled=compiled,
-                filter_limit=filter_limit,
-                trace=trace,
-            )
-        finally:
-            network.repack()
-
-    def _run(
-        self,
-        network: ConstraintNetwork,
-        *,
-        masks,
-        compiled: CompiledGrammar,
-        filter_limit: int | None,
-        trace: TraceHook | None,
-    ) -> EngineStats:
-        if (
-            self.packed
-            and self.fused
-            and trace is None
-            and filter_limit is None
-            and masks.fused is not None
-        ):
+        masks = network.template.vector_masks(compiled)
+        if trace is None and filter_limit is None and masks.fused is not None:
             return self._run_fused(network, masks=masks, compiled=compiled)
         stats = EngineStats()
         self._unary_rounds(network, masks=masks, compiled=compiled, stats=stats, trace=trace)
         if trace:
             trace("unary-done", network)
 
-        # -- binary propagation: the interleaved schedule, one cached mask
-        # per constraint, each followed by a full consistency sweep.
+        # -- binary propagation: one cached mask per constraint, each
+        # followed by a full consistency sweep.
         for constraint, both in zip(compiled.binary, masks.binary, strict=True):
             stats.pair_checks += network.nv * network.nv
-            if self.packed:
-                stats.matrix_entries_zeroed += network.apply_pair_mask_bits(both)
-            else:
-                stats.matrix_entries_zeroed += network.apply_pair_mask(
-                    both, presymmetrized=True
-                )
+            stats.matrix_entries_zeroed += network.apply_pair_mask_bits(both)
             if trace:
                 trace(f"binary:{constraint.name}", network)
 
@@ -190,10 +124,6 @@ class VectorEngine(ParserEngine):
         stats.filtering_iterations = filter_network(network, counting_step, limit=filter_limit)
         if trace:
             trace("filtering-done", network)
-        # Record the working representation's footprint here, before the
-        # byte path's finally-repack folds back to packed words — the
-        # memory benchmark compares these numbers across the two cores.
-        stats.extra["network_bytes"] = network.state_nbytes()
         return stats
 
     def _run_fused(
@@ -232,7 +162,6 @@ class VectorEngine(ParserEngine):
         stats.consistency_passes = settled.consistency_passes
         stats.filtering_iterations = settled.filtering_iterations
         stats.extra["fused_binary_kernel"] = True
-        stats.extra["network_bytes"] = network.state_nbytes()
         return stats
 
     @staticmethod

@@ -116,9 +116,9 @@ class BitLayout:
         role gains the ``mod = n+1`` modifiee candidates), so the packed
         bit offsets of the prefix's values move.  The new layout is
         therefore built from scratch; what carries over is the *index
-        map* between the two spaces, and :func:`embed_rows` performs the
-        scatter.  The only invariant checked here is that the space
-        grew — a streaming step never shrinks an index space.
+        map* between the two spaces (``NetworkTemplate.prefix_map``).
+        The only invariant checked here is that the space grew — a
+        streaming step never shrinks an index space.
         """
         layout = BitLayout(role_slices)
         if layout.nv < self.nv:
@@ -155,32 +155,6 @@ def unpack_rows(words: np.ndarray, layout: BitLayout) -> np.ndarray:
 def get_bit(row_words: np.ndarray, index: int, layout: BitLayout) -> bool:
     """One bit of a packed row, without unpacking it."""
     return bool(_bytes_view(row_words)[..., layout.pbyte[index]] & layout.pmask8[index])
-
-
-def embed_rows(
-    words: np.ndarray,
-    idx_map: np.ndarray,
-    old_layout: BitLayout,
-    new_layout: BitLayout,
-) -> np.ndarray:
-    """Scatter a packed array into a larger index space and repack.
-
-    ``idx_map`` maps each old global index to its new global index (an
-    order-preserving injection: extending a sentence interleaves fresh
-    role values between the surviving ones, so old bit offsets do not
-    survive).  1-D inputs (an alive row) scatter along their only axis;
-    2-D inputs (a matrix, old shape ``(nv_old, n_words_old)``) scatter
-    along both, via ``np.ix_``.  Unmapped positions are zero, so the
-    result keeps the zero-padding invariant popcount deltas rely on.
-    """
-    bools = unpack_rows(words, old_layout)
-    if bools.ndim == 1:
-        out = np.zeros(new_layout.nv, dtype=bool)
-        out[idx_map] = bools
-    else:
-        out = np.zeros((new_layout.nv, new_layout.nv), dtype=bool)
-        out[np.ix_(idx_map, idx_map)] = bools
-    return pack_rows(out, new_layout)
 
 
 # -- layout-parameterized mutation helpers -----------------------------------

@@ -191,65 +191,6 @@ class ConstraintNetwork:
             return self._alive_cache.nbytes + self._matrix_cache.nbytes
         return self.alive_bits.nbytes + self.matrix_bits.nbytes
 
-    # -- streaming ---------------------------------------------------------
-
-    @classmethod
-    def extend_from(
-        cls,
-        prev: "ConstraintNetwork",
-        template: "NetworkTemplate",
-        sentence: Sentence,
-    ) -> "ConstraintNetwork":
-        """A fresh (n+1)-word network carrying over *prev*'s eliminations.
-
-        *template* must have been built by ``prev.template.extend(...)``
-        (it carries the old-to-new index map).  The result is bound
-        fresh from the extended template — every new role value alive,
-        the matrix at the extended base — then *prev*'s packed state is
-        scattered in: surviving alive bits replace the old values'
-        fresh ones, the old-by-old matrix block is replaced by *prev*'s
-        bits, and the rows/columns of old values *prev* had killed are
-        zeroed (design decision 4 carries across the extension).  The
-        predecessor is only read, never mutated, so its frozen prefix
-        state stays valid for the caller.
-        """
-        if not prev.packed_active:
-            raise NetworkError(
-                "extend_from requires the predecessor in packed mode; repack() first"
-            )
-        idx_map = template.prefix_map
-        if idx_map is None or template.category_sets[:-1] != prev.template.category_sets:
-            raise NetworkError(
-                "template was not extended from the predecessor network's shape"
-            )
-        network = template.bind(sentence)
-        layout = template.bit_layout
-        old_layout = prev.bit_layout
-        # Alive: old survivors scattered in, every new value alive.
-        embedded_alive = bitset.embed_rows(prev.alive_bits, idx_map, old_layout, layout)
-        network.alive_bits = embedded_alive | bitset.member_mask(
-            template.prefix_new, layout
-        )
-        # Matrix: keep the fresh base everywhere a new value is involved,
-        # replace the old-by-old block with the predecessor's bits.
-        embedded_matrix = bitset.embed_rows(prev.matrix_bits, idx_map, old_layout, layout)
-        keep_new = ~bitset.member_mask(idx_map, layout)
-        network.matrix_bits[idx_map] = (
-            network.matrix_bits[idx_map] & keep_new
-        ) | embedded_matrix[idx_map]
-        # Old values the predecessor eliminated stay eliminated: zero
-        # their fresh rows/columns against the new word's values too.
-        dead = idx_map[~bitset.unpack_rows(prev.alive_bits, old_layout)]
-        if dead.size:
-            bitops.clear_rows_and_columns(
-                network.alive_bits,
-                network.matrix_bits,
-                dead,
-                bitset.keep_mask(dead, layout),
-            )
-        network._invalidate_views()
-        return network
-
     # -- copying -----------------------------------------------------------
 
     def clone(self) -> "ConstraintNetwork":
@@ -375,12 +316,6 @@ class ConstraintNetwork:
             return bool(self._matrix_cache[a, b])
         return bitset.get_bit(self.matrix_bits[a], b, self.bit_layout)
 
-    def role_onehot(self) -> np.ndarray:
-        """(NV, n_roles) one-hot membership matrix, used for support sums."""
-        onehot = np.zeros((self.nv, self.n_roles), dtype=np.uint8)
-        onehot[np.arange(self.nv), self.role_index] = 1
-        return onehot
-
     def support_segments(self) -> tuple[np.ndarray, np.ndarray]:
         """(role ids, slice starts) of the non-empty roles, for reduceat.
 
@@ -389,10 +324,6 @@ class ConstraintNetwork:
         """
         template = self.template
         return template.nonempty_roles, template.nonempty_starts
-
-    def scratch_matrix(self) -> np.ndarray:
-        """A reusable (NV, NV) bool buffer (template-owned, not state)."""
-        return self.template.scratch_matrix()
 
     def scratch_bits(self) -> np.ndarray:
         """A reusable (NV, n_words) packed buffer (template-owned)."""

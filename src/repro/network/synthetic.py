@@ -40,14 +40,8 @@ class SyntheticNetwork:
         self.role_index = np.repeat(np.arange(self.n_roles, dtype=np.int32), domain_sizes)
         self.alive = np.ones(self.nv, dtype=bool)
         self.matrix = self.role_index[:, None] != self.role_index[None, :]
-        self._scratch: np.ndarray | None = None
 
     # -- the surface consistency/filtering needs -------------------------
-
-    def role_onehot(self) -> np.ndarray:
-        onehot = np.zeros((self.nv, self.n_roles), dtype=np.uint8)
-        onehot[np.arange(self.nv), self.role_index] = 1
-        return onehot
 
     def support_segments(self) -> tuple[np.ndarray, np.ndarray]:
         """(role ids, slice starts) for segmented support ORs.
@@ -60,12 +54,6 @@ class SyntheticNetwork:
             (sl.start for sl in self.role_slices), dtype=np.intp, count=self.n_roles
         )
         return roles, starts
-
-    def scratch_matrix(self) -> np.ndarray:
-        """A reusable (NV, NV) bool buffer for consistency sweeps."""
-        if self._scratch is None:
-            self._scratch = np.empty((self.nv, self.nv), dtype=bool)
-        return self._scratch
 
     def kill(self, indices) -> None:
         indices = np.asarray(indices, dtype=np.int64)

@@ -211,7 +211,6 @@ def attach_template(
     masks = VectorMasks(
         unary=tuple(unary[i] for i in range(unary.shape[0])),
         binary=tuple(binary[i] for i in range(binary.shape[0])),
-        packed=True,
         fused=views.get("fused"),
     )
     template = NetworkTemplate.from_shared(

@@ -23,27 +23,17 @@ masks*.  Binding the extended template fresh and re-applying the
 touching the predecessor network — so the carried state a stream needs
 is exactly the masks the prefix-extended template already caches.  A
 stream step is therefore the session's own parse body on that
-template: a fresh bind and the engine's fused schedule, which kills the
-folded unary dead set, ANDs the fused mask and settles the fixpoint on
-the block of values still alive.  ``parse``, ``parse_many``, streams, the
-service, pool workers and cluster shards all run that one schedule.
-The explicit embedding form
-(:meth:`~repro.network.network.ConstraintNetwork.extend_from` +
-:func:`~repro.propagation.incremental.resume_propagation`) exists for
-the state that is **not** recomputable from grammar masks — a network
-refined by staged extra constraints
-(:func:`~repro.propagation.incremental.apply_constraint`) — and
-reaches the identical settled network on plain grammar state, which the
-streaming tests assert.  Either way the consistency fixpoint reruns;
-determinism of the sweep then makes the settled network, the verdict,
-and every elimination counter bit-identical to a fresh full parse of
-the prefix.  Tests sweep that invariant per word, per engine.
+template: a fresh bind and the session's engine.  The consistency
+fixpoint reruns, and determinism of the sweep makes the settled
+network, the verdict, and every elimination counter bit-identical to a
+fresh full parse of the prefix.  Tests sweep that invariant per word.
 
 Every step runs the session's engine on the prefix-extended template,
 whatever the engine, so the O(NV^2) build work is incremental for all
-of them.  Results of the fused schedule (the packed
-:class:`~repro.engines.vector.VectorEngine` with no filter limit, the
-same gate the engine itself uses) are marked
+of them.  ``parse``, ``parse_many``, streams, the service, pool workers
+and cluster shards all run that one body.  Steps that ran the vector
+engine's fused schedule (its result carries
+``stats.extra["fused_binary_kernel"]``) are marked
 ``stats.extra["streamed"]``.
 """
 
@@ -52,7 +42,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.engines.base import ParseResult
-from repro.engines.vector import VectorEngine
 from repro.errors import ConcurrentSessionUse, StreamError
 from repro.grammar.grammar import Sentence
 
@@ -131,22 +120,6 @@ class StreamingParse:
         self._result = result
         return result
 
-    def _fast_path(self) -> bool:
-        """True when the step runs the fused schedule (``streamed`` marks it).
-
-        The gate mirrors the vector engine's own fused gate: the packed
-        fused schedule with no filter limit.  Every other configuration
-        (interleaved, boolean, serial, simulated machines, bounded
-        filtering) runs its own engine on the same extended template.
-        """
-        engine = self._session.engine
-        return (
-            isinstance(engine, VectorEngine)
-            and engine.packed
-            and engine.fused
-            and self._session.filter_limit is None
-        )
-
     def _settle(self, sent: Sentence, template: "NetworkTemplate") -> ParseResult:
         session = self._session
         if not session._parse_guard.acquire(blocking=False):
@@ -162,6 +135,6 @@ class StreamingParse:
             result = session._settle(sent, template, filter_limit=session.filter_limit)
         finally:
             session._parse_guard.release()
-        if self._fast_path():
+        if result.stats.extra.get("fused_binary_kernel"):
             result.stats.extra["streamed"] = True
         return result

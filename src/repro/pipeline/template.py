@@ -19,7 +19,8 @@ same shape:
   function of the field arrays — the single biggest per-parse cost);
 * the consistency-maintenance segment tables (role starts for
   ``reduceat``);
-* an ``(NV, NV)`` scratch buffer reused by consistency maintenance.
+* a packed ``(NV, n_words)`` scratch buffer reused by consistency
+  maintenance.
 
 Shared arrays are frozen (``writeable=False``) so an engine bug that
 tried to mutate template state across sentences fails loudly instead of
@@ -65,15 +66,12 @@ class VectorMasks:
     ``unary[i]`` is the permitted ``(NV,)`` bool vector of the i-th
     unary constraint; ``binary[i]`` the orientation-symmetrized
     permitted mask of the i-th binary constraint (already
-    ``permitted & permitted.T``).  With ``packed=True`` (the cached
-    default) each binary mask is a packed ``(NV, n_words)`` uint64
+    ``permitted & permitted.T``), packed as an ``(NV, n_words)`` uint64
     array ready to AND into the network's bit matrices — ~8x smaller
-    per cache entry than the boolean form, which
-    :meth:`NetworkTemplate.vector_masks_bool` materializes lazily for
-    the byte-per-bool comparison engine.
+    per cache entry than a boolean mask.
 
-    ``fused`` is the word-wide AND of every packed binary mask (``None``
-    in the boolean form, or when the grammar has no binary constraints).
+    ``fused`` is the word-wide AND of every binary mask (``None`` when
+    the grammar has no binary constraints).
     Maruyama's eliminations are monotone and order-independent up to the
     fixpoint, so the no-trace fast path may apply this one combined mask
     and run a single consistency fixpoint instead of interleaving
@@ -84,20 +82,19 @@ class VectorMasks:
     defer the per-constraint ``binary`` tuple behind *binary_thunk*: the
     fused fast path never reads it, and materializing ``k_b`` full
     ``(NV, NV)`` masks is the dominant cost of an extension step.  The
-    first ``binary`` access (interleaved/boolean engines, the process
+    first ``binary`` access (the per-constraint schedule, the process
     store, introspection) evaluates and memoizes them.
 
     ``unary_fold`` is the fused path's unary phase: one dead set plus
     the counter total, derived lazily from ``unary`` alone.
     """
 
-    __slots__ = ("unary", "_binary", "_binary_thunk", "fused", "packed", "_unary_fold")
+    __slots__ = ("unary", "_binary", "_binary_thunk", "fused", "_unary_fold")
 
     def __init__(
         self,
         unary: tuple[np.ndarray, ...],
         binary: "tuple[np.ndarray, ...] | None",
-        packed: bool,
         fused: np.ndarray | None = None,
         binary_thunk: "Callable[[], tuple[np.ndarray, ...]] | None" = None,
     ):
@@ -107,7 +104,6 @@ class VectorMasks:
         self._binary = binary
         self._binary_thunk = binary_thunk
         self.fused = fused
-        self.packed = packed
         self._unary_fold: UnaryFold | None = None
 
     @property
@@ -262,9 +258,6 @@ class NetworkTemplate:
         # Lazy artifacts.
         self._masks: VectorMasks | None = None
         self._masks_for: CompiledGrammar | None = None
-        self._masks_bool: VectorMasks | None = None
-        self._masks_bool_for: CompiledGrammar | None = None
-        self._scratch: np.ndarray | None = None
         self._scratch_bits: np.ndarray | None = None
         self._nbytes_cache: "tuple[tuple, int] | None" = None
 
@@ -321,15 +314,13 @@ class NetworkTemplate:
         (position, role, label, mod), so the survivors are exactly the
         values with ``pos != n and mod != n``, in preserved order — two
         vectorized comparisons, no per-value hashing.  The maps are
-        stored as ``prefix_map`` / ``prefix_new`` for mask extension and
-        for :meth:`ConstraintNetwork.extend_from`.
+        stored as ``prefix_map`` / ``prefix_new`` for mask extension.
 
         The base matrix is *not* scattered from the prefix: it is pure
         position/role arithmetic, and at sentence-sized NV the
         vectorized formula is cheaper than moving the old packed block.
         The expensive carried artifacts are the constraint masks
-        (:meth:`_extend_masks`) and the propagation state
-        (:meth:`ConstraintNetwork.extend_from`).
+        (:meth:`_extend_masks`).
         """
         if prefix.grammar is not self.grammar:
             raise NetworkError("prefix template was built under a different grammar")
@@ -394,8 +385,7 @@ class NetworkTemplate:
         region (``2 * new * NV`` of ``NV^2`` pairs) must undercut the
         full matrix by enough to pay for the scatter bookkeeping.  The
         template is still a prefix *extension* either way — the index
-        maps and resumable propagation are untouched; only the mask
-        computation strategy switches.
+        maps are untouched; only the mask computation strategy switches.
         """
         from repro.constraints.vector import VectorEnv
 
@@ -480,7 +470,6 @@ class NetworkTemplate:
         self._masks = VectorMasks(
             unary=tuple(unary),
             binary=binary,
-            packed=True,
             fused=fused,
             binary_thunk=binary_thunk,
         )
@@ -559,7 +548,7 @@ class NetworkTemplate:
             for mask in binary[1:]:
                 acc &= mask
             fused = _frozen(acc)
-        self._masks = VectorMasks(unary=unary, binary=binary, packed=True, fused=fused)
+        self._masks = VectorMasks(unary=unary, binary=binary, fused=fused)
         self._masks_for = compiled
 
     def _field_arrays(self) -> dict[str, np.ndarray]:
@@ -593,36 +582,13 @@ class NetworkTemplate:
             binary.append(_frozen(bitset.pack_rows(permitted & permitted.T, self.bit_layout)))
         return tuple(binary)
 
-    def vector_masks_bool(self, compiled: CompiledGrammar) -> VectorMasks:
-        """Boolean expansions of :meth:`vector_masks`, for the byte engine.
-
-        Lazily unpacked from the packed masks (the packed form stays
-        the canonical cache entry); only the boolean comparison path
-        (``VectorEngine(packed=False)``) ever pays for these.
-        """
-        if self._masks_bool is not None and self._masks_bool_for is compiled:
-            return self._masks_bool
-        packed = self.vector_masks(compiled)
-        binary = tuple(
-            _frozen(bitset.unpack_rows(m, self.bit_layout)) for m in packed.binary
-        )
-        self._masks_bool = VectorMasks(unary=packed.unary, binary=binary, packed=False)
-        self._masks_bool_for = compiled
-        return self._masks_bool
-
-    def scratch_matrix(self) -> np.ndarray:
-        """A reusable ``(NV, NV)`` bool buffer for consistency sweeps.
+    def scratch_bits(self) -> np.ndarray:
+        """A reusable packed ``(NV, n_words)`` buffer for consistency sweeps.
 
         Shared by every network bound from this template; safe because
         sessions (and engines) are single-threaded by contract and the
         buffer never carries state between calls.
         """
-        if self._scratch is None:
-            self._scratch = np.empty((self.nv, self.nv), dtype=bool)
-        return self._scratch
-
-    def scratch_bits(self) -> np.ndarray:
-        """A reusable packed ``(NV, n_words)`` buffer for packed sweeps."""
         if self._scratch_bits is None:
             self._scratch_bits = np.empty(
                 (self.nv, self.bit_layout.n_words), dtype=bitset.WORD_DTYPE
@@ -639,12 +605,10 @@ class NetworkTemplate:
         """
         state = (
             self._base_bool is not None,
-            self._scratch is not None,
             self._scratch_bits is not None,
             self._masks is not None,
             self._masks is not None and self._masks.binary_materialized,
             self._masks is not None and self._masks.unary_folded,
-            self._masks_bool is not None,
         )
         if self._nbytes_cache is not None and self._nbytes_cache[0] == state:
             return self._nbytes_cache[1]
@@ -654,8 +618,6 @@ class NetworkTemplate:
             total += arr.nbytes
         if self._base_bool is not None:
             total += self._base_bool.nbytes
-        if self._scratch is not None:
-            total += self._scratch.nbytes
         if self._scratch_bits is not None:
             total += self._scratch_bits.nbytes
         if self._masks is not None:
@@ -668,8 +630,6 @@ class NetworkTemplate:
                 total += self._masks.fused.nbytes
             if self._masks.unary_folded:
                 total += self._masks.unary_fold.dead.nbytes
-        if self._masks_bool is not None:
-            total += sum(m.nbytes for m in self._masks_bool.binary)
         self._nbytes_cache = (state, total)
         return total
 

@@ -62,9 +62,8 @@ def unsupported_vector(net: ConstraintNetwork) -> np.ndarray:
         # every alive role value is unsupported.
         return np.nonzero(alive)[0]
     # has[a, j] = does a keep an alive partner in role j?  One segmented
-    # OR over the alive-masked matrix; the scratch buffer is reused
-    # across sweeps (and, via the template, across sentences).
-    masked = np.logical_and(net.matrix, alive[None, :], out=net.scratch_matrix())
+    # OR over the alive-masked matrix.
+    masked = net.matrix & alive[None, :]
     has = np.logical_or.reduceat(masked, starts, axis=1)
     # a's own role is exempt ("every *other* role").
     has[np.arange(net.nv), net.role_index] = True

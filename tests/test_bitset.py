@@ -6,9 +6,9 @@ Two layers of guarantees:
   with the obvious boolean-array reference, over layouts with odd
   segment widths, empty roles, and NV % 64 != 0;
 * engine level — the packed vector engine settles to networks
-  bit-identical to the byte-per-bool :class:`SerialEngine` oracle (and
-  to the unpacked ``vector-bool`` engine, stat for stat) over a seeded
-  sweep of random grammars x random sentences.
+  bit-identical to the byte-per-bool :class:`SerialEngine` oracle (stat
+  for stat on its per-constraint schedule) over a seeded sweep of random
+  grammars x random sentences.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from repro import ConstraintNetwork, SerialEngine, VectorEngine
-from repro.engines.registry import create_engine
 from repro.grammar.builtin import english_grammar, program_grammar
 from repro.kernels import bitops
 from repro.network import bitset
@@ -197,12 +196,17 @@ class TestEngineBitIdentity:
 
     def test_packed_vector_matches_serial_oracle(self):
         serial = SerialEngine()
-        # The interleaved engine replays the oracle's per-constraint
-        # trajectory, so even the mutation *counts* must match; the fused
-        # engine takes a different route to the same fixpoint, so it is
-        # held to final-state bit identity (the fixpoint is unique).
-        interleaved = VectorEngine(fused=False)
-        fused = VectorEngine()
+        vector = VectorEngine()
+        # A trace hook selects the per-constraint schedule, which replays
+        # the oracle's trajectory, so even the mutation *counts* must
+        # match; the untraced (fused) schedule takes a different route to
+        # the same fixpoint, so it is held to final-state bit identity
+        # (the fixpoint is unique).
+        events: list[str] = []
+
+        def record(event, network):
+            events.append(event)
+
         odd_widths = 0
         for seed in self.SEEDS:
             rng = random.Random(seed)
@@ -210,12 +214,13 @@ class TestEngineBitIdentity:
             sentence = random_sentence_for(grammar, rng, max_len=4)
             with pytest.warns(DeprecationWarning):
                 oracle = serial.parse(grammar, sentence)
-                packed = interleaved.parse(grammar, sentence)
-                fast = fused.parse(grammar, sentence)
+                packed = vector.parse(grammar, sentence, trace=record)
+                fast = vector.parse(grammar, sentence)
             if packed.network.nv % 64 != 0:
                 odd_widths += 1
             assert packed.network.packed_active
             context = f"seed {seed}, sentence {sentence}"
+            assert "fused_binary_kernel" not in packed.stats.extra, context
             np.testing.assert_array_equal(
                 packed.network.alive, oracle.network.alive, err_msg=context
             )
@@ -239,35 +244,7 @@ class TestEngineBitIdentity:
         # The sweep is only convincing if it hits rows the word padding
         # actually matters for.
         assert odd_widths > 0, "sweep never produced NV % 64 != 0"
-
-    def test_packed_vector_matches_unpacked_vector_stat_for_stat(self):
-        # Stat-for-stat only holds on the interleaved path: the fused
-        # kernel compresses the binary sweep into one pass by design.
-        packed_engine = create_engine("vector-interleaved")
-        assert packed_engine.name == "vector-interleaved"
-        bool_engine = create_engine("vector-bool")
-        assert bool_engine.name == "vector-bool"
-        for seed in (0, 7, 13, 29):
-            rng = random.Random(seed)
-            grammar = random_grammar(rng)
-            sentence = random_sentence_for(grammar, rng, max_len=4)
-            with pytest.warns(DeprecationWarning):
-                packed = packed_engine.parse(grammar, sentence)
-                unpacked = bool_engine.parse(grammar, sentence)
-            assert packed.network.packed_active
-            # The byte engine works in boolean mode but repacks on exit.
-            assert unpacked.network.packed_active
-            np.testing.assert_array_equal(packed.network.alive, unpacked.network.alive)
-            np.testing.assert_array_equal(packed.network.matrix, unpacked.network.matrix)
-            for stat in (
-                "unary_checks",
-                "pair_checks",
-                "role_values_killed",
-                "matrix_entries_zeroed",
-                "consistency_passes",
-                "filtering_iterations",
-            ):
-                assert getattr(packed.stats, stat) == getattr(unpacked.stats, stat), stat
+        assert "filtering-done" in events, "the traced parses never ran"
 
     def test_english_grammar_end_to_end(self):
         grammar = english_grammar()

@@ -666,6 +666,24 @@ class TestLogHarness:
         assert parsed["rejects"] == {"deadline": 1, "frame-oversized": 1}
         assert parsed["shards"] == [1]
 
+    def test_idle_shard_is_counted_from_its_ready_line(self):
+        """A shard the ring sent no request logs only ``ready`` and ``stop``."""
+        idle = "\n".join([
+            _log_line("2026-08-08T10:00:00+00:00", 1, "ready", "addr=127.0.0.1:4001 engine=vector"),
+            _log_line("2026-08-08T10:00:09+00:00", 1, "stop", ""),
+        ])
+        parsed = parse_log_text(idle)
+        assert parsed["shards"] == [1]
+        assert parsed["recv"] == {} and parsed["done"] == {}
+        busy = "\n".join([
+            _log_line("2026-08-08T10:00:00+00:00", 0, "ready", "addr=127.0.0.1:4000 engine=vector"),
+            _log_line("2026-08-08T10:00:01+00:00", 0, "recv", "conn=1 id=1 kind=parse n=3"),
+            _log_line("2026-08-08T10:00:01.100000+00:00", 0, "done", "conn=1 id=1 ok=1"),
+        ])
+        summary = ClusterLogParser.from_texts([busy, idle], pool=False).summary()
+        assert summary["shards"] == [0, 1]
+        assert summary["completed"] == 1
+
     def test_merged_summary_spans_shards(self):
         shard0 = "\n".join([
             _log_line("2026-08-08T10:00:00+00:00", 0, "recv", "conn=1 id=1 kind=parse n=3"),

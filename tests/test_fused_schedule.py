@@ -3,11 +3,12 @@
 With no trace hook and no filter limit, ``VectorEngine`` kills the
 template's folded unary dead set at once, ANDs the fused binary mask,
 and settles consistency on the block of values still alive.  The
-reference spells the unfolded schedule out: ``apply_masks`` (one kill
-per unary vector, then the fused mask) and ``run_filtering`` (the
-full-width sweep to quiescence).  Both must leave the same packed bits,
-the same verdicts and the same six deterministic counters; the
-``serial`` engine checks the bits independently.
+reference spells the unfolded schedule out: the engine's per-constraint
+unary rounds (one kill per unary vector), the fused mask, and
+``run_filtering`` (the full-width sweep to quiescence).  Both must
+leave the same packed bits, the same verdicts and the same six
+deterministic counters; the ``serial`` engine checks the bits
+independently.
 
 The sweep covers english sentences (random and scrambled) and random
 grammars, and counts the corners it reached: every value killed by the
@@ -28,10 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from repro import GrammarBuilder, ParserSession
+from repro import EngineStats, GrammarBuilder, ParserSession, VectorEngine
 from repro.grammar.builtin import english_grammar
 from repro.propagation import consistency
-from repro.propagation.incremental import apply_masks, run_filtering
+from repro.propagation.consistency import run_filtering
 from repro.workloads.random_grammars import random_grammar, random_sentence_for
 from repro.workloads.sentences import random_sentence, scrambled_sentence
 
@@ -61,23 +62,23 @@ def reference_run(session: ParserSession, network):
     and the verdict before the fixpoint.
     """
     masks = network.template.vector_masks(session.compiled)
-    alive = network.alive_count()
-    mask_stats = apply_masks(network, masks.unary, masks.fused)
+    unary = EngineStats()
+    VectorEngine._unary_rounds(network, masks=masks, compiled=session.compiled, stats=unary)
+    unary_killed_all = network.alive_count() == 0
+    zeroed = 0
+    if masks.fused is not None:
+        zeroed = network.apply_pair_mask_bits(masks.fused)
     nonempty_before_fixpoint = network.all_domains_nonempty()
     fixpoint = run_filtering(network)
-    unary_checks = 0
-    for killed in mask_stats.unary_killed:
-        unary_checks += alive
-        alive -= killed
     counters = {
-        "unary_checks": unary_checks,
+        "unary_checks": unary.unary_checks,
         "pair_checks": network.nv * network.nv * len(session.compiled.binary),
-        "role_values_killed": sum(mask_stats.unary_killed) + fixpoint.role_values_killed,
-        "matrix_entries_zeroed": mask_stats.matrix_entries_zeroed,
+        "role_values_killed": unary.role_values_killed + fixpoint.role_values_killed,
+        "matrix_entries_zeroed": zeroed,
         "consistency_passes": fixpoint.consistency_passes,
         "filtering_iterations": fixpoint.filtering_iterations,
     }
-    return counters, alive == 0, nonempty_before_fixpoint
+    return counters, unary_killed_all, nonempty_before_fixpoint
 
 
 def reference_parse(session: ParserSession, words):
@@ -87,11 +88,16 @@ def reference_parse(session: ParserSession, words):
     return (network, *reference_run(session, network))
 
 
-def check_fused(grammar, words, corners: Corners, *, fused: bool = True):
-    """Parse *words* on the fused path; compare with the reference and ``serial``."""
+def check_fused(grammar, words, corners: Corners):
+    """Parse *words* on the fused path; compare with the reference and ``serial``.
+
+    Grammars without binary constraints take the per-constraint path,
+    which must still match the reference.
+    """
     context = f"{grammar.name}: {words}"
     session = ParserSession(grammar, engine="vector")
     result = session.parse(words)
+    fused = bool(grammar.binary_constraints)
     assert result.stats.extra.get("fused_binary_kernel", False) is fused, context
     network, counters, unary_killed_all, nonempty_before = reference_parse(session, words)
     for name in ("alive_bits", "matrix_bits"):
@@ -132,10 +138,9 @@ def test_random_grammars_match_the_reference(monkeypatch, max_share):
     for seed in range(150):
         rng = random.Random(seed)
         grammar = random_grammar(rng)
-        fused = bool(grammar.binary_constraints)
         for _ in range(3):
             words = random_sentence_for(grammar, rng, max_len=5)
-            check_fused(grammar, words, corners, fused=fused)
+            check_fused(grammar, words, corners)
     # The sweep only proves the corners it reaches.
     assert corners.unary_killed_all > 0, "no sentence lost every value to unary"
     assert corners.role_emptied_by_fixpoint > 0, "no role was emptied by the fixpoint"
@@ -187,8 +192,9 @@ def test_structurally_empty_role(words):
         assert not result.network.alive.any()
 
 
-def test_grammar_without_binary_constraints_keeps_the_unfused_path():
-    grammar = (
+def unary_only_grammar():
+    """One word ``w`` and one unary constraint: ``masks.fused is None``."""
+    return (
         GrammarBuilder("unary-only")
         .labels("A", "B")
         .roles("g")
@@ -198,10 +204,14 @@ def test_grammar_without_binary_constraints_keeps_the_unfused_path():
         .constraint("u", "(if (eq (lab x) A) (eq (mod x) nil))")
         .build()
     )
+
+
+def test_grammar_without_binary_constraints_keeps_the_unfused_path():
+    grammar = unary_only_grammar()
     session = ParserSession(grammar, engine="vector")
     assert session.template_for(["w", "w"]).vector_masks(session.compiled).fused is None
     for words in (["w"], ["w", "w"], ["w", "w", "w"]):
-        check_fused(grammar, words, Corners(), fused=False)
+        check_fused(grammar, words, Corners())
 
 
 @pytest.mark.sanitize
@@ -214,10 +224,5 @@ def test_fused_path_under_sanitizer(sanitized):
     for seed in range(20):
         rng = random.Random(seed)
         grammar = random_grammar(rng)
-        check_fused(
-            grammar,
-            random_sentence_for(grammar, rng, max_len=4),
-            corners,
-            fused=bool(grammar.binary_constraints),
-        )
+        check_fused(grammar, random_sentence_for(grammar, rng, max_len=4), corners)
     assert not sanitized.diagnostics()

@@ -15,7 +15,7 @@ import pytest
 from repro import ParserSession, create_engine
 from repro.grammar.builtin import program_grammar
 
-ALL_ENGINES = ["serial", "serial-exhaustive", "vector", "vector-bool", "pram", "maspar", "mesh"]
+ALL_ENGINES = ["serial", "serial-exhaustive", "vector", "pram", "maspar", "mesh"]
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +33,7 @@ class TestEnginesLeaveNetworksPacked:
             "repack before returning (RPR002)"
         )
 
-    @pytest.mark.parametrize("engine", ["serial", "vector-bool", "pram"])
+    @pytest.mark.parametrize("engine", ["serial", "pram"])
     def test_raising_trace_hook_still_repacks(self, grammar, engine):
         """The repack bracket must be a finally, not a tail call."""
         session = ParserSession(grammar, engine=create_engine(engine))
@@ -54,17 +54,6 @@ class TestEnginesLeaveNetworksPacked:
             f"{engine} left the network in boolean mode after a mid-parse "
             "exception; the materialize/repack bracket must be try/finally"
         )
-
-    def test_byte_engine_reports_boolean_footprint(self, grammar):
-        """The memory benchmark's contract: vector-bool reports the bytes
-        of its *working* representation, not the packed hand-back."""
-        packed = ParserSession(grammar, engine="vector").parse("The program runs")
-        unpacked = ParserSession(grammar, engine="vector-bool").parse("The program runs")
-        ratio = unpacked.stats.extra["network_bytes"] / packed.stats.extra["network_bytes"]
-        # Were vector-bool reporting its post-repack (packed) state the
-        # ratio would be 1.0; >2x proves it reported the byte working set.
-        # (bench_memory asserts >=4x at n=10, where padding amortizes.)
-        assert ratio > 2.0, f"expected byte-vs-bit footprint ratio > 2, got {ratio:.2f}x"
 
 
 class TestFrozenViews:

@@ -5,8 +5,8 @@ The load-bearing invariants:
 * **bit-identity** — ``ParallelSession.parse_many`` equals a
   single-process ``ParserSession.parse_many`` on the same sentences,
   network for network and stat for stat, across worker counts and both
-  packed vector paths (fused and interleaved); scheduling and process
-  placement never change what is computed;
+  vector schedules (fused, and per-constraint under ``filter_limit``);
+  scheduling and process placement never change what is computed;
 * **shared-memory hygiene** — a closed session/store leaves no
   ``/dev/shm`` segment behind (the store is the sole unlink-er, workers
   only ever close their own mapping);
@@ -71,7 +71,7 @@ class TestParallelEquivalence:
     """Seeded sweep: the pool is an implementation detail, not a semantics."""
 
     @pytest.mark.parametrize("workers", [2, 4])
-    @pytest.mark.parametrize("engine", ["vector", "vector-interleaved"])
+    @pytest.mark.parametrize("engine", ["vector"])
     def test_bit_identical_to_single_process(self, workers, engine):
         grammar = english_grammar()
         sentences = workload()

@@ -22,7 +22,7 @@ pytestmark = pytest.mark.sanitize
 
 
 class TestCleanRunsStayClean:
-    @pytest.mark.parametrize("engine", ["serial", "vector", "vector-bool"])
+    @pytest.mark.parametrize("engine", ["serial", "vector"])
     def test_normal_parse_raises_nothing(self, sanitized, toy_grammar, engine):
         session = ParserSession(toy_grammar, engine=create_engine(engine))
         result = session.parse("The program runs")

@@ -5,10 +5,8 @@ The load-bearing invariant: for every prefix length k of a sentence,
 verdict, and statistics **bit-identical** to a fresh
 ``ParserSession.parse`` of the same k words.  The streamed parse rides
 the prefix-extended template (masks extended incrementally, never
-rebuilt) and reconstructs the pre-fixpoint state by re-applying them —
-the explicit embedding form (``ConstraintNetwork.extend_from`` +
-``resume_propagation``) must reach the same settled network, which is
-the equivalence that proves carrying state across words loses nothing.
+rebuilt) and reconstructs the pre-fixpoint state by re-applying them,
+so carrying state across words loses nothing.
 
 Also covered here: prefix template extension (one cumulative build per
 stream), broken-stream semantics, the service-level streaming API
@@ -30,6 +28,7 @@ from repro.errors import LexiconError, StreamError
 from repro.grammar.builtin import english_grammar, program_grammar
 from repro.serve import ParseService
 from repro.workloads import sentence_of_length
+from tests.test_fused_schedule import unary_only_grammar
 
 #: EngineStats fields that must match a fresh parse exactly (wall time
 #: and memory extras are environment-dependent and excluded).
@@ -61,7 +60,7 @@ def assert_prefix_identical(streamed, fresh, k: int) -> None:
 
 
 class TestPrefixEquivalence:
-    @pytest.mark.parametrize("engine", ["vector", "vector-interleaved"])
+    @pytest.mark.parametrize("engine", ["vector"])
     def test_every_prefix_bit_identical_to_fresh_parse(self, engine):
         grammar = english_grammar()
         words = sentence_of_length(10)
@@ -72,6 +71,7 @@ class TestPrefixEquivalence:
             streamed = stream.extend(word)
             fresh = reference.parse(words[:k])
             assert_prefix_identical(streamed, fresh, k)
+            assert streamed.stats.extra.get("streamed") is True, k
         assert stream.words == tuple(words)
         assert stream.result() is streamed
 
@@ -81,6 +81,17 @@ class TestPrefixEquivalence:
         result = stream.extend("the")
         assert result.stats.extra.get("streamed") is True
         assert "streamed" not in session.parse(["the"]).stats.extra
+
+    def test_grammar_without_binary_constraints_is_not_marked_streamed(self):
+        """No fused mask, so every step runs the per-constraint schedule."""
+        grammar = unary_only_grammar()
+        stream = ParserSession(grammar, engine="vector").stream()
+        reference = ParserSession(grammar, engine="vector")
+        for k in range(1, 4):
+            streamed = stream.extend("w")
+            assert_prefix_identical(streamed, reference.parse(["w"] * k), k)
+            assert "fused_binary_kernel" not in streamed.stats.extra
+            assert "streamed" not in streamed.stats.extra
 
     def test_program_grammar_stream_matches(self):
         grammar = program_grammar()
@@ -102,7 +113,7 @@ class TestPrefixEquivalence:
             assert "streamed" not in streamed.stats.extra  # fallback path
 
     @pytest.mark.sanitize
-    @pytest.mark.parametrize("engine", ["vector", "vector-interleaved"])
+    @pytest.mark.parametrize("engine", ["vector"])
     def test_streaming_under_sanitizer(self, sanitized, engine):
         grammar = english_grammar()
         words = sentence_of_length(7)
@@ -111,47 +122,6 @@ class TestPrefixEquivalence:
         stream = streaming.stream()
         for k, word in enumerate(words, start=1):
             assert_prefix_identical(stream.extend(word), reference.parse(words[:k]), k)
-
-
-class TestResumablePropagation:
-    """The explicit embedding form of the resume.
-
-    ``ConstraintNetwork.extend_from`` + the mask/fixpoint split in
-    ``repro.propagation.incremental`` exist for carried state that is
-    *not* recomputable from grammar masks (a network refined by staged
-    extra constraints).  On plain grammar state the embedded resume must
-    settle bit-identical to a fresh parse — the equivalence the
-    streaming fast path's bind-and-remask shortcut rests on.
-    """
-
-    def test_embedded_prefix_state_settles_bit_identical(self):
-        from repro.network.network import ConstraintNetwork
-        from repro.pipeline.compiled import compile_grammar
-        from repro.pipeline.template import NetworkTemplate
-        from repro.propagation.incremental import apply_masks, run_filtering
-
-        grammar = english_grammar()
-        compiled = compile_grammar(grammar)
-        words = sentence_of_length(8)
-        reference = ParserSession(grammar, engine="vector")
-        template = None
-        carried = None  # pre-fixpoint network of the previous prefix
-        for k in range(1, len(words) + 1):
-            sent = grammar.tokenize(words[:k])
-            if template is None:
-                template = NetworkTemplate.build(grammar, sent.category_sets)
-                network = template.bind(sent)
-            else:
-                template.vector_masks(compiled)
-                template = template.extend(sent.category_sets[-1], compiled=compiled)
-                network = ConstraintNetwork.extend_from(carried, template, sent)
-            masks = template.vector_masks(compiled)
-            apply_masks(network, masks.unary, masks.fused)
-            carried = network.clone()
-            run_filtering(network)
-            fresh = reference.parse(words[:k])
-            assert np.array_equal(network.alive_bits, fresh.network.alive_bits), k
-            assert np.array_equal(network.matrix_bits, fresh.network.matrix_bits), k
 
 
 class TestTemplateExtension:
