@@ -17,8 +17,8 @@ Quickstart::
 
 A :class:`ParserSession` compiles the grammar once and caches network
 templates per sentence shape, so batches (``session.parse_many``)
-amortize everything but propagation itself.  The one-shot form
-``VectorEngine().parse(grammar, words)`` still works.
+amortize everything but propagation itself; a one-off parse is
+``ParserSession(grammar).parse(words)``.
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-versus-measured record.

@@ -43,8 +43,8 @@ RPR013    kernel-bit-arith        word-level bit arithmetic (``np.bitwise_and`` 
 RPR017    native-boundary-        ``.ctypes`` in ``repro/kernels/native/`` only on
           hygiene                 arrays that went through a dtype/contiguity
                                   validator (``ascontiguousarray``, ``np.empty`` /
-                                  ``zeros``, ``_check_operands``, ``_as_words``,
-                                  ``_require_words``) in the same function
+                                  ``zeros``, ``_as_words``, ``_require_words``)
+                                  in the same function
 ========  ======================  ==================================================
 
 The whole-project rules (RPR014 cross-module-lock-cycle, RPR015
@@ -1081,7 +1081,7 @@ class NativeBoundaryHygiene(LintRule):
     numpy's contiguity-guaranteeing allocators/copiers
     (``ascontiguousarray``, ``empty``, ``zeros``, ``empty_like``,
     ``zeros_like``) or one of the package's own checked wrappers
-    (``_check_operands``, ``_as_words``, ``_require_words``).  An
+    (``_as_words``, ``_require_words``).  An
     unvalidated ``.ctypes`` is a finding; route the array through a
     validator first.
     """
@@ -1102,7 +1102,6 @@ class NativeBoundaryHygiene(LintRule):
             "zeros",
             "empty_like",
             "zeros_like",
-            "_check_operands",
             "_as_words",
             "_require_words",
         }
@@ -1133,8 +1132,8 @@ class NativeBoundaryHygiene(LintRule):
                     f"'.ctypes' on an unvalidated array in {func.name}(); "
                     "native wrappers must route every buffer through a "
                     "dtype/contiguity validator (ascontiguousarray, "
-                    "np.empty/zeros, _check_operands, _as_words, "
-                    "_require_words) before handing it to C",
+                    "np.empty/zeros, _as_words, _require_words) before "
+                    "handing it to C",
                 )
 
     def _validated_names(self, nodes: "list[ast.AST]") -> "set[str]":
@@ -1155,14 +1154,7 @@ class NativeBoundaryHygiene(LintRule):
                 and _terminal_name(value.func) in self._VALIDATORS
             ):
                 continue
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    names.add(target.id)
-                elif isinstance(target, (ast.Tuple, ast.List)):
-                    # a, b = _check_operands(x, y) validates both.
-                    names.update(
-                        element.id
-                        for element in target.elts
-                        if isinstance(element, ast.Name)
-                    )
+            names.update(
+                target.id for target in node.targets if isinstance(target, ast.Name)
+            )
         return names

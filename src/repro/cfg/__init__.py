@@ -9,7 +9,7 @@ from repro.cfg.builtin import (
 )
 from repro.cfg.cellular import MeshResult, mesh_cyk
 from repro.cfg.cnf import to_cnf
-from repro.cfg.cyk import CYKResult, cyk_accepts, cyk_parse, cyk_parse_sets
+from repro.cfg.cyk import CYKResult, cyk_accepts, cyk_parse
 from repro.cfg.earley import earley_accepts
 from repro.cfg.generator import random_corpus, random_derivation
 from repro.cfg.grammar import CFG, Production
@@ -19,7 +19,6 @@ __all__ = [
     "Production",
     "to_cnf",
     "cyk_parse",
-    "cyk_parse_sets",
     "cyk_accepts",
     "CYKResult",
     "earley_accepts",

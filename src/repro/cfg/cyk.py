@@ -1,28 +1,16 @@
-"""CYK recognition on the packed kernel core — the Figure-8 CFG row.
+"""CYK recognition — the Figure-8 sequential CFG row.
 
-Classic O(|G| * n^3) bottom-up dynamic programming over a CNF grammar,
-recast so its span-combination step is a Boolean matrix product from
-:mod:`repro.kernels.bmm` — the Valiant/Lee form, and the same kernels
-the CDG side's consistency sweep runs on.
+Classic O(|G| * n^3) bottom-up dynamic programming over a CNF grammar.
+The chart is one boolean ``(n, n)`` matrix per nonterminal, filled
+span length by span length; the inner split loop is a vectorized
+AND/any over all split points of a span at once.
 
-Representation: for each nonterminal *b* a packed *fence matrix*
-``F[b]`` over fence positions ``0..n`` (one bitset row per start
-fence, bits indexing end fences): bit *j* of row *i* means *b* derives
-``words[i:j]``.  A binary rule ``A -> B C`` then fills spans via
-``bmm(F[B], F[C])``: bit *j* of row *i* of the product is "some split
-*k* has B deriving ``words[i:k]`` and C deriving ``words[k:j]``".  Per
-span length only the product bits at distance ``length`` are read;
-since both children of a length-``l`` span are strictly shorter, the
-result is bit-identical to the length-by-length set-based chart
-(:func:`cyk_parse_sets`, kept as the oracle).  Alongside the fence
-matrices the packed chart keeps one bitset row per (start, end) span
-with nonterminals as bit positions — the ``BitLayout``-style row the
-rendered ``chart_sets`` are unpacked from.
-
-``split_operations`` counts the same (length, split, rule) combination
-steps the textbook loop performs — the count is input-shape arithmetic,
-independent of chart content, so both implementations report identical
-values.
+``split_operations`` counts the (length, split, rule) combination steps
+the textbook loop performs — input-shape arithmetic, independent of
+chart content.  The Figure-8 cellular row (:func:`repro.cfg.mesh_cyk`)
+performs the same steps in lock-step wavefronts and reports the same
+count as ``cell_operations``; it and Earley on the original grammar are
+the cross-checks the test suite sweeps CYK against.
 """
 
 from __future__ import annotations
@@ -33,8 +21,6 @@ import numpy as np
 
 from repro.cfg.grammar import CFG
 from repro.errors import GrammarError
-from repro.kernels import bitops
-from repro.kernels.backend import KernelBackend, create_backend
 
 
 @dataclass
@@ -42,13 +28,23 @@ class CYKResult:
     accepted: bool
     chart_sets: list[list[frozenset[str]]]  # chart_sets[i][j]: span i..j (incl.)
     split_operations: int  # counted (length, split, rule) combination steps
-    kernel_backend: str | None = None  # None on the set-based oracle path
 
 
-def _cnf_tables(grammar: CFG):
-    """Shared precomputation: sorted nonterminals, unary and binary rules."""
+def cyk_parse(grammar: CFG, words: list[str] | tuple[str, ...]) -> CYKResult:
+    """Recognize *words* with CYK.
+
+    Args:
+        grammar: a CNF grammar.
+
+    Raises:
+        GrammarError: if *grammar* is not in CNF.
+    """
     if not grammar.is_cnf():
         raise GrammarError("CYK requires a CNF grammar; call to_cnf() first")
+    n = len(words)
+    if n == 0:
+        accepted = any(p.lhs == grammar.start and not p.rhs for p in grammar.productions)
+        return CYKResult(accepted, [], 0)
     nts = sorted(grammar.nonterminals)
     nt_index = {nt: i for i, nt in enumerate(nts)}
     unary = [(p.lhs, p.rhs[0]) for p in grammar.productions if len(p.rhs) == 1]
@@ -57,102 +53,6 @@ def _cnf_tables(grammar: CFG):
         for p in grammar.productions
         if len(p.rhs) == 2
     ]
-    return nts, nt_index, unary, binary
-
-
-def _accepts_empty(grammar: CFG) -> bool:
-    return any(p.lhs == grammar.start and not p.rhs for p in grammar.productions)
-
-
-def cyk_parse(
-    grammar: CFG,
-    words: list[str] | tuple[str, ...],
-    *,
-    backend: "str | KernelBackend | None" = None,
-) -> CYKResult:
-    """Recognize *words* with CYK on the packed kernel core.
-
-    Args:
-        grammar: a CNF grammar.
-        backend: kernel backend for the span-combination products (see
-            :mod:`repro.kernels.backend`); None resolves the default.
-
-    Raises:
-        GrammarError: if *grammar* is not in CNF.
-    """
-    kernels = create_backend(backend)
-    if not grammar.is_cnf():
-        raise GrammarError("CYK requires a CNF grammar; call to_cnf() first")
-    n = len(words)
-    if n == 0:
-        return CYKResult(_accepts_empty(grammar), [], 0, kernels.name)
-    nts, nt_index, unary, binary = _cnf_tables(grammar)
-
-    fence_words = -(-(n + 1) // bitops.WORD_BITS)
-    nt_words = -(-len(nts) // bitops.WORD_BITS)
-    # fence[b, i]: packed end-fence row of nonterminal b at start fence i.
-    fence = np.zeros((len(nts), n + 1, fence_words), dtype=bitops.WORD_DTYPE)
-    # span_bits[i, j]: packed nonterminal memberships of span i..j (incl.).
-    span_bits = np.zeros((n, n, nt_words), dtype=bitops.WORD_DTYPE)
-
-    for i, word in enumerate(words):
-        for lhs, terminal in unary:
-            if terminal == word:
-                b = nt_index[lhs]
-                bitops.set_bit(fence[b, i], i + 1)
-                bitops.set_bit(span_bits[i, i], b)
-
-    # Group binary rules by child pair: one product per (B, C) feeds
-    # every A -> B C.  split_operations stays counted per *rule*.
-    by_pair: dict[tuple[int, int], list[int]] = {}
-    for lhs, left, right in binary:
-        by_pair.setdefault((left, right), []).append(lhs)
-
-    operations = 0
-    for length in range(2, n + 1):
-        starts = np.arange(0, n - length + 1)
-        ends = starts + length
-        operations += len(binary) * len(starts) * (length - 1)
-        end_word = ends >> 6
-        end_shift = (ends & 63).astype(np.uint64)
-        for (left, right), lhs_list in by_pair.items():
-            product = kernels.bmm(fence[left], fence[right])
-            # Read only the bits at distance `length`: both children of
-            # such a span are strictly shorter, so every contributing
-            # split was already settled in earlier iterations.
-            hits = (product[starts, end_word] >> end_shift) & np.uint64(1)
-            for i in starts[hits != 0]:
-                for a in lhs_list:
-                    bitops.set_bit(fence[a, i], i + length)
-                    bitops.set_bit(span_bits[i, i + length - 1], a)
-
-    membership = bitops.unpack_bits(span_bits, len(nts))
-    chart_sets = [
-        [
-            frozenset(nts[a] for a in np.nonzero(membership[i, j])[0])
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    accepted = bitops.test_bit(fence[nt_index[grammar.start], 0], n)
-    return CYKResult(accepted, chart_sets, operations, kernels.name)
-
-
-def cyk_parse_sets(grammar: CFG, words: list[str] | tuple[str, ...]) -> CYKResult:
-    """The pre-kernel set-based CYK, kept verbatim as the oracle.
-
-    The chart is boolean numpy matrices per nonterminal and the inner
-    split loop a vectorized AND/any; :func:`cyk_parse` must agree with
-    this bit for bit (accepted flag, every chart cell, the operation
-    count) — asserted by the test suite and by the benchmark harness
-    before any timing.
-    """
-    n = len(words)
-    if n == 0:
-        if not grammar.is_cnf():
-            raise GrammarError("CYK requires a CNF grammar; call to_cnf() first")
-        return CYKResult(_accepts_empty(grammar), [], 0)
-    nts, nt_index, unary, binary = _cnf_tables(grammar)
 
     # chart[a, i, j] = nonterminal a derives words[i..j] inclusive.
     chart = np.zeros((len(nts), n, n), dtype=bool)

@@ -42,7 +42,7 @@ class TraceRecorder:
     Use::
 
         recorder = TraceRecorder()
-        engine.parse(grammar, sentence, trace=recorder)
+        ParserSession(grammar, engine=engine).parse(sentence, trace=recorder)
         print(recorder.explain())
     """
 

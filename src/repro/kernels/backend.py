@@ -17,11 +17,8 @@ else the ``"packed"`` default.  Resolution is memoized per resolved
 name (including the warn-once fallback instance), so repeated
 resolution — one per network bind on the hot path — is a dict hit.
 
-A backend provides the Boolean-linear-algebra surface both parsers run
-on:
+A backend provides the word-level surface the CDG engines run on:
 
-* ``bmm(a_bits, b_bits)`` — packed Boolean matrix product (CYK span
-  combination).
 * ``support_any(matrix_words, alive_words, seg_byte_starts)`` — the
   consistency sweep's OR-reduction: does row *a* keep an alive partner
   in each segment?  Computed as a word-wide AND plus a segmented byte
@@ -40,7 +37,6 @@ import numpy as np
 
 from repro.errors import ReproError
 from repro.kernels import bitops
-from repro.kernels.bmm import bmm_four_russians
 
 #: Environment variable consulted when no explicit backend is given.
 ENV_VAR = "REPRO_KERNEL_BACKEND"
@@ -62,10 +58,6 @@ class KernelBackend:
     """Base class: word-level primitives shared by every backend."""
 
     name = "abstract"
-
-    def bmm(self, a_bits: np.ndarray, b_bits: np.ndarray) -> np.ndarray:
-        """Packed Boolean matrix product (see :mod:`repro.kernels.bmm`)."""
-        raise NotImplementedError
 
     def support_any(
         self,
@@ -91,12 +83,9 @@ class KernelBackend:
 
 
 class PackedBackend(KernelBackend):
-    """Word-at-a-time kernels: four-Russians BMM, reduceat sweeps."""
+    """Word-at-a-time numpy kernels: word-wide ANDs, reduceat sweeps."""
 
     name = "packed"
-
-    def bmm(self, a_bits: np.ndarray, b_bits: np.ndarray) -> np.ndarray:
-        return bmm_four_russians(a_bits, b_bits)
 
     def support_any(
         self,

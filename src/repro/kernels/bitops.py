@@ -46,40 +46,6 @@ def bytes_view(words: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(words).view(np.uint8)
 
 
-# -- dense pack / unpack -----------------------------------------------------
-
-def pack_bits(bools: np.ndarray) -> np.ndarray:
-    """Pack (..., n) booleans densely into (..., ceil(n/64)) words.
-
-    Dense means bit *i* of the row is element *i* of the input — the
-    single-segment special case of the layout layer's ``pack_rows``.
-    Padding bits (positions >= n) are zero.
-    """
-    bools = np.asarray(bools, dtype=bool)
-    n = bools.shape[-1]
-    padded_bits = max(WORD_BITS, -(-n // WORD_BITS) * WORD_BITS)
-    padded = np.zeros(bools.shape[:-1] + (padded_bits,), dtype=bool)
-    padded[..., :n] = bools
-    return np.packbits(padded, axis=-1, bitorder="little").view(WORD_DTYPE)
-
-
-def unpack_bits(words: np.ndarray, n_bits: int) -> np.ndarray:
-    """Unpack (..., n_words) words densely into (..., n_bits) booleans."""
-    bits = np.unpackbits(bytes_view(words), axis=-1, bitorder="little")
-    return bits[..., :n_bits].astype(bool)
-
-
-def set_bit(row_words: np.ndarray, index: int) -> None:
-    """Set dense bit *index* of a packed row in place."""
-    row_words[index >> 6] |= WORD_DTYPE.type(1) << WORD_DTYPE.type(index & 63)
-
-
-def test_bit(row_words: np.ndarray, index: int) -> bool:
-    """Read dense bit *index* of a packed row."""
-    word = row_words[..., index >> 6]
-    return bool(word >> WORD_DTYPE.type(index & 63) & WORD_DTYPE.type(1))
-
-
 # -- counting ----------------------------------------------------------------
 
 def count_ones(words: np.ndarray) -> int:

@@ -24,7 +24,6 @@ from repro.errors import ReproError
 from repro.kernels import bitops
 from repro.kernels.backend import KernelBackend
 from repro.kernels.bitops import WORD_DTYPE
-from repro.kernels.bmm import _check_operands
 from repro.kernels.native.build import load_library
 
 _U64 = ctypes.POINTER(ctypes.c_uint64)
@@ -60,7 +59,7 @@ class NativeBackend(KernelBackend):
     """Compiled word-level kernels loaded through ctypes.
 
     Bit-identical to ``packed`` by contract (the kernel identity suite
-    sweeps all four primitives plus full-session parses); construction
+    sweeps all three primitives plus full-session parses); construction
     raises :class:`~repro.kernels.backend.KernelBackendUnavailable`
     when the host cannot compile or load the library, which the
     registry turns into the fall-back-to-``packed`` path.
@@ -70,21 +69,6 @@ class NativeBackend(KernelBackend):
 
     def __init__(self):
         self._lib = load_library()
-
-    def bmm(self, a_bits: np.ndarray, b_bits: np.ndarray) -> np.ndarray:
-        a, b = _check_operands(a_bits, b_bits)  # contiguous '<u8', shape-checked
-        m, k_rows, n_words = a.shape[0], b.shape[0], b.shape[1]
-        out = np.empty((m, n_words), dtype=WORD_DTYPE)
-        if m == 0 or k_rows == 0 or n_words == 0:
-            out[...] = 0
-            return out
-        table = np.empty((256, n_words), dtype=WORD_DTYPE)
-        self._lib.repro_bmm(
-            a.ctypes.data_as(_U64), m, a.shape[1],
-            b.ctypes.data_as(_U64), k_rows, n_words,
-            out.ctypes.data_as(_U64), table.ctypes.data_as(_U64),
-        )
-        return out
 
     def support_any(
         self,

@@ -18,6 +18,12 @@ Environment knobs:
   ``~/.cache/repro``).  The library file name embeds a digest of the
   source, the compiler, and the platform, so upgrades and toolchain
   switches rebuild instead of loading a stale binary.
+
+Every build also records the sha256 of the library it produced in a
+``.sha256`` file next to it, and a cached library is loaded only when
+its bytes still match that digest.  A truncated or otherwise damaged
+cache entry (or one with no digest) is rebuilt rather than handed to
+``ctypes.CDLL``, which can die by SIGBUS mapping a short file.
 """
 
 from __future__ import annotations
@@ -83,6 +89,22 @@ def library_path(compiler: str) -> Path:
     return cache_dir() / f"repro-kernels-{digest}.so"
 
 
+def _digest_path(library: Path) -> Path:
+    return library.with_name(library.name + ".sha256")
+
+
+def _file_digest(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _is_verified(library: Path) -> bool:
+    """Does *library* still hold the bytes its build recorded?"""
+    try:
+        return _file_digest(library) == _digest_path(library).read_text().strip()
+    except OSError:
+        return False
+
+
 def build_library() -> Path:
     """Compile ``kernels.c`` into the cache (idempotent); return its path.
 
@@ -99,7 +121,7 @@ def build_library() -> Path:
             f"no C compiler found (set {ENV_CC} or install cc/gcc/clang)"
         )
     target = library_path(compiler)
-    if target.exists():
+    if _is_verified(target):
         return target
     target.parent.mkdir(parents=True, exist_ok=True)
     # Build to a pid-suffixed temp name, then rename: concurrent
@@ -122,7 +144,13 @@ def build_library() -> Path:
             f"C compile failed (exit {proc.returncode}): "
             + (detail[-1] if detail else "no compiler output")
         )
+    # The digest goes through the same temp-file + rename, after the
+    # library: a reader that sees a digest from another build's race
+    # just finds a mismatch and rebuilds.
+    tmp_digest = _digest_path(tmp)
+    tmp_digest.write_text(_file_digest(tmp) + "\n")
     os.replace(tmp, target)
+    os.replace(tmp_digest, _digest_path(target))
     return target
 
 
@@ -160,13 +188,6 @@ def _declare_signatures(lib: ctypes.CDLL) -> None:
     u8p = ctypes.POINTER(ctypes.c_uint8)
     i64p = ctypes.POINTER(ctypes.c_int64)
     size_t = ctypes.c_size_t
-
-    lib.repro_bmm.argtypes = [
-        u64p, size_t, size_t,  # a, m, a_words
-        u64p, size_t, size_t,  # b, k_rows, n_words
-        u64p, u64p,  # out, table scratch
-    ]
-    lib.repro_bmm.restype = None
 
     lib.repro_support_any.argtypes = [
         u64p, size_t, size_t,  # matrix, rows, n_words

@@ -10,72 +10,18 @@
  *     order numpy's '<u8' view does; the Python wrapper refuses to
  *     load this library on a big-endian host.
  *   - padding / slack bits are zero on every input, and every routine
- *     here preserves that invariant (AND against zero stays zero, the
- *     four-Russians tables OR rows whose padding is already clear), so
+ *     here preserves that invariant (AND against zero stays zero), so
  *     popcount deltas are exact.
  *   - 2-D inputs are dense row-major: row i of an (m, w) operand
  *     starts at element i * w.
  *
- * Nothing here allocates: callers pass every output and scratch
- * buffer, so the Python wrapper stays in charge of lifetimes and the
- * hot loops stay malloc-free.
+ * Nothing here allocates: callers pass every output buffer, so the
+ * Python wrapper stays in charge of lifetimes and the hot loops stay
+ * malloc-free.
  */
 
 #include <stdint.h>
 #include <stddef.h>
-#include <string.h>
-
-/* C = A o B in the Boolean semiring, blocked "Four Russians".
- *
- * a: (m, a_words) packed rows of A; bit k of row i is A[i, k].
- * b: (k_rows, n_words) packed rows of B; bit j of row k is B[k, j].
- * out: (m, n_words), zeroed here.
- * table: (256, n_words) scratch for the per-block subset-OR tables.
- *
- * B's rows are taken 8 at a time; each block expands into a 256-entry
- * table of row ORs built in one DP pass (table[s] = table[s without
- * its lowest bit] | B[block row of that bit]), and every byte of A
- * then gathers its table entry — 8 rows of work per byte lookup.
- */
-void repro_bmm(const uint64_t *a, size_t m, size_t a_words,
-               const uint64_t *b, size_t k_rows, size_t n_words,
-               uint64_t *out, uint64_t *table)
-{
-    memset(out, 0, m * n_words * sizeof(uint64_t));
-    const uint8_t *a8 = (const uint8_t *)a;
-    size_t row_bytes = a_words * 8;
-    size_t n_blocks = (k_rows + 7) / 8;
-    for (size_t t = 0; t < n_blocks; ++t) {
-        size_t rows_in_block = k_rows - 8 * t;
-        if (rows_in_block > 8)
-            rows_in_block = 8;
-        memset(table, 0, 256 * n_words * sizeof(uint64_t));
-        for (size_t s = 1; s < 256; ++s) {
-            size_t r = (size_t)__builtin_ctzll((unsigned long long)s);
-            const uint64_t *base = table + (s & (s - 1)) * n_words;
-            uint64_t *dst = table + s * n_words;
-            if (r < rows_in_block) {
-                const uint64_t *brow = b + (8 * t + r) * n_words;
-                for (size_t j = 0; j < n_words; ++j)
-                    dst[j] = base[j] | brow[j];
-            } else {
-                /* Bits beyond the block's rows never appear in A's
-                 * bytes (padding invariant); keep the entry coherent
-                 * anyway. */
-                memcpy(dst, base, n_words * sizeof(uint64_t));
-            }
-        }
-        for (size_t i = 0; i < m; ++i) {
-            uint8_t byte = a8[i * row_bytes + t];
-            if (!byte)
-                continue;
-            const uint64_t *src = table + (size_t)byte * n_words;
-            uint64_t *orow = out + i * n_words;
-            for (size_t j = 0; j < n_words; ++j)
-                orow[j] |= src[j];
-        }
-    }
-}
 
 /* The consistency sweep's OR-reduction: out[i, s] = 1 iff row i of
  * (matrix AND alive) keeps a set bit inside byte segment s.

@@ -54,10 +54,10 @@ def _raw_toy_cycles(cost_key: tuple) -> int:
     from repro.grammar.builtin import program_grammar
     from repro.maspar.cost import CostModel
     from repro.parsec.parser import MasParEngine
+    from repro.pipeline.session import ParserSession
 
-    cost = CostModel(*cost_key)
-    engine = MasParEngine(cost=cost, calibrate=False)
-    result = engine.parse(program_grammar(), "The program runs")
+    engine = MasParEngine(cost=CostModel(*cost_key), calibrate=False)
+    result = ParserSession(program_grammar(), engine=engine).parse("The program runs")
     return result.stats.extra["cycles"]
 
 

@@ -77,9 +77,9 @@ def _unsupported_packed(net: ConstraintNetwork) -> np.ndarray:
     if len(roles) < net.n_roles:
         return np.nonzero(alive)[0]
     # has[a, j] = does a keep an alive partner in role j?  One kernel
-    # call: alive masking plus the segmented OR (or its BMM recast,
-    # depending on the backend); the packed scratch buffer is reused
-    # across sweeps (and, via the template, across sentences).
+    # call: alive masking plus the segmented OR; the packed scratch
+    # buffer is reused across sweeps (and, via the template, across
+    # sentences).
     has = net.kernels().support_any(
         net.matrix_bits,
         net.alive_bits,

@@ -159,11 +159,11 @@ class TestKernelBackendFlag:
             err = capsys.readouterr().err
             assert f"unknown kernel backend {name!r}; available: native, packed" in err
 
-    def test_bench_bmm_quick_writes_record(self, tmp_path):
-        out_path = tmp_path / "BENCH_bmm.json"
-        code, text = run_cli(["bench-bmm", "--quick", "--out", str(out_path)])
+    def test_bench_kernels_quick_writes_record(self, tmp_path):
+        out_path = tmp_path / "BENCH_kernels.json"
+        code, text = run_cli(["bench-kernels", "--quick", "--out", str(out_path)])
         assert code == 0
-        assert "BMM microbench" in text
+        assert "Kernel backends end to end" in text
         import json
 
         record = json.loads(out_path.read_text())

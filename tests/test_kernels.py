@@ -1,22 +1,23 @@
-"""The extracted kernel core: bitops, BMM, and the backend table.
+"""The extracted kernel core: bitops and the backend table.
 
-Three layers:
+Two layers:
 
-* :mod:`repro.kernels.bitops` — dense pack/unpack, single-bit access,
-  and the word-level primitives, checked against plain boolean numpy
-  over shapes with NV % 64 != 0 trailing words;
-* :mod:`repro.kernels.bmm` — the four-Russians product and the
-  bit-plane product agree with the broadcast-any reference over
-  non-square, empty, and padding-heavy operands;
+* :mod:`repro.kernels.bitops` — the word-level primitives, checked
+  against plain boolean numpy over shapes with NV % 64 != 0 trailing
+  words (operands packed through :mod:`repro.network.bitset`);
 * :mod:`repro.kernels.backend` — resolution (env var, explicit name,
-  instance passthrough), the no-compiler fallback of ``native``, and
-  end-to-end bit-identity of ``packed`` vs ``native`` across every
-  registered engine.
+  instance passthrough), the no-compiler fallback of ``native``, the
+  digest-checked build cache, and end-to-end bit-identity of
+  ``packed`` vs ``native`` across every registered engine.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,7 +36,6 @@ from repro.kernels.backend import (
     reset_backend_cache,
     resolve_backend_name,
 )
-from repro.kernels.bmm import bmm_four_russians, bmm_planes, bmm_reference
 from repro.kernels.native import build as native_build
 from repro.network import bitset
 from repro.network.bitset import BitLayout
@@ -52,6 +52,11 @@ def random_bools(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.random(shape) < 0.5
 
 
+def dense_layout(n_bits: int) -> BitLayout:
+    """One role of *n_bits* values: bit *i* of a packed row is element *i*."""
+    return BitLayout((slice(0, n_bits),))
+
+
 # ---------------------------------------------------------------------------
 # bitops
 
@@ -60,85 +65,34 @@ class TestBitops:
     @pytest.mark.parametrize("n_bits", [1, 7, 63, 64, 65, 127, 128, 200])
     def test_pack_unpack_roundtrip_odd_widths(self, n_bits):
         rng = np.random.default_rng(n_bits)
+        layout = dense_layout(n_bits)
         for shape in ((n_bits,), (5, n_bits), (3, 4, n_bits)):
             bools = random_bools(rng, shape)
-            words = bitops.pack_bits(bools)
+            words = bitset.pack_rows(bools, layout)
             assert words.dtype == bitops.WORD_DTYPE
             # Trailing-word padding must stay clear: popcount over the
             # raw words is exact.
             assert bitops.count_ones(words) == int(bools.sum())
-            np.testing.assert_array_equal(bitops.unpack_bits(words, n_bits), bools)
-
-    def test_set_and_test_bit_trailing_word(self):
-        row = np.zeros(2, dtype=bitops.WORD_DTYPE)
-        for index in (0, 63, 64, 70):
-            assert not bitops.test_bit(row, index)
-            bitops.set_bit(row, index)
-            assert bitops.test_bit(row, index)
-        assert bitops.count_ones(row) == 4
+            np.testing.assert_array_equal(bitset.unpack_rows(words, layout), bools)
 
     def test_and_accumulate_returns_popcount_delta(self):
         rng = np.random.default_rng(3)
+        layout = dense_layout(130)
         target_bools = random_bools(rng, 130)
         mask_bools = random_bools(rng, 130)
-        target = bitops.pack_bits(target_bools)
-        mask = bitops.pack_bits(mask_bools)
+        target = bitset.pack_rows(target_bools, layout)
+        mask = bitset.pack_rows(mask_bools, layout)
         removed = bitops.and_accumulate(target, mask)
         assert removed == int((target_bools & ~mask_bools).sum())
         np.testing.assert_array_equal(
-            bitops.unpack_bits(target, 130), target_bools & mask_bools
+            bitset.unpack_rows(target, layout), target_bools & mask_bools
         )
 
     def test_empty_operands(self):
         empty = np.zeros(0, dtype=bitops.WORD_DTYPE)
         assert bitops.count_ones(empty) == 0
         assert bitops.and_accumulate(empty, empty) == 0
-        assert bitops.pack_bits(np.zeros((0, 5), dtype=bool)).shape == (0, 1)
-
-
-# ---------------------------------------------------------------------------
-# bmm
-
-
-BMM_SHAPES = [
-    (1, 1, 1),
-    (3, 70, 5),  # k spans two words; m, n tiny
-    (17, 129, 66),  # every dimension straddles a word boundary
-    (64, 64, 64),
-    (100, 200, 130),
-    (0, 10, 4),  # empty m
-    (4, 0, 7),  # empty k
-    (5, 3, 0),  # empty n
-]
-
-
-class TestBMM:
-    @pytest.mark.parametrize("shape", BMM_SHAPES, ids=str)
-    @pytest.mark.parametrize("kernel", [bmm_four_russians, bmm_planes])
-    def test_matches_reference(self, shape, kernel):
-        m, k, n = shape
-        rng = np.random.default_rng(m * 1000 + k * 10 + n)
-        a_plane = random_bools(rng, (m, k))
-        b_plane = random_bools(rng, (k, n))
-        a_bits = bitops.pack_bits(a_plane)
-        b_bits = bitops.pack_bits(b_plane)
-        out = kernel(a_bits, b_bits)
-        expected = bmm_reference(a_plane, b_plane)
-        np.testing.assert_array_equal(bitops.unpack_bits(out, n), expected)
-        # Non-square + NV % 64 != 0: padding in the product must stay
-        # clear, or downstream popcounts drift.
-        assert bitops.count_ones(out) == int(expected.sum())
-
-    def test_rejects_mismatched_inner_dimension(self):
-        a = np.zeros((2, 1), dtype=bitops.WORD_DTYPE)
-        b = np.zeros((100, 1), dtype=bitops.WORD_DTYPE)
-        with pytest.raises(ValueError):
-            bmm_four_russians(a, b)
-
-    def test_rejects_non_2d(self):
-        a = np.zeros(1, dtype=bitops.WORD_DTYPE)
-        with pytest.raises(ValueError):
-            bmm_four_russians(a, a)
+        assert bitset.pack_rows(np.zeros((0, 5), dtype=bool), dense_layout(5)).shape == (0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -272,22 +226,6 @@ def no_toolchain(monkeypatch, tmp_path):
 
 @requires_compiler
 class TestNativeBackend:
-    @pytest.mark.parametrize("shape", BMM_SHAPES, ids=str)
-    def test_bmm_matches_reference(self, shape):
-        m, k, n = shape
-        rng = np.random.default_rng(m * 1000 + k * 10 + n)
-        a_plane = random_bools(rng, (m, k))
-        b_plane = random_bools(rng, (k, n))
-        a_bits = bitops.pack_bits(a_plane)
-        b_bits = bitops.pack_bits(b_plane)
-        native = create_backend("native")
-        out = native.bmm(a_bits, b_bits)
-        np.testing.assert_array_equal(out, bmm_four_russians(a_bits, b_bits))
-        expected = bmm_reference(a_plane, b_plane)
-        np.testing.assert_array_equal(bitops.unpack_bits(out, n), expected)
-        # Product padding must stay clear or downstream popcounts drift.
-        assert bitops.count_ones(out) == int(expected.sum())
-
     def test_support_any_matches_packed(self):
         role_slices = (slice(0, 5), slice(5, 17), slice(17, 90))
         layout = BitLayout(role_slices)
@@ -302,11 +240,12 @@ class TestNativeBackend:
 
     def test_and_accumulate_matches_packed(self):
         rng = np.random.default_rng(31)
+        layout = dense_layout(130)
         target_bools = random_bools(rng, (37, 130))
         mask_bools = random_bools(rng, (37, 130))
-        a = bitops.pack_bits(target_bools)
+        a = bitset.pack_rows(target_bools, layout)
         b = a.copy()
-        mask = bitops.pack_bits(mask_bools)
+        mask = bitset.pack_rows(mask_bools, layout)
         native = create_backend("native")
         delta_packed = PackedBackend().and_accumulate(a, mask)
         delta_native = native.and_accumulate(b, mask)
@@ -354,3 +293,23 @@ class TestNativeFallback:
 
     def test_find_compiler_env_override_must_exist(self, no_toolchain):
         assert native_build.find_compiler() is None
+
+    @requires_compiler
+    def test_truncated_cached_library_is_rebuilt(self, monkeypatch, tmp_path):
+        # A short library handed to ctypes.CDLL can kill the process by
+        # SIGBUS, so the probe runs in a child whose death is observable.
+        monkeypatch.setenv(native_build.ENV_CACHE, str(tmp_path))
+        library = native_build.build_library()
+        data = library.read_bytes()
+        library.write_bytes(data[: len(data) // 2])
+        src = Path(__file__).resolve().parent.parent / "src"
+        probe = "from repro.kernels import create_backend; print(create_backend('native').name)"
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, (proc.returncode, proc.stderr)
+        assert proc.stdout.strip() == "native", proc.stderr

@@ -1077,12 +1077,9 @@ class TestNativeBoundaryHygieneRPR017:
             "def call(lib, words, target):\n"
             "    arr = np.ascontiguousarray(words)\n"
             "    out = np.empty((3, 4), dtype='<u8')\n"
-            "    a, b = _check_operands(words, words)\n"
             "    target = _require_words(target)\n"
             "    lib.kernel(arr.ctypes.data_as(None),\n"
             "               out.ctypes.data_as(None),\n"
-            "               a.ctypes.data_as(None),\n"
-            "               b.ctypes.data_as(None),\n"
             "               target.ctypes.data_as(None),\n"
             "               np.ascontiguousarray(words).ctypes.data_as(None))\n"
         )

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
-from repro import MasParEngine, VectorEngine
+from repro import MasParEngine, ParserSession, VectorEngine
 from repro.grammar.builtin import program_grammar
 from repro.grammar.builtin.english import english_grammar
 from repro.maspar import CostModel
+from repro.parsec import timing
 from repro.parsec.timing import (
     PAPER_TOY_PARSE_SECONDS,
     calibration_factor,
@@ -59,6 +62,19 @@ class TestTimingModel:
         f1 = calibration_factor()
         f2 = calibration_factor()
         assert f1 == f2 > 0
+
+    def test_first_calibrated_session_parse_avoids_deprecated_api(self):
+        # The first calibrated parse runs the calibration parse inside
+        # it; that inner parse must go through a session too.
+        timing._raw_toy_cycles.cache_clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            result = ParserSession(program_grammar(), engine="maspar").parse(
+                "The program runs"
+            )
+        assert result.stats.simulated_seconds == pytest.approx(
+            PAPER_TOY_PARSE_SECONDS, rel=1e-6
+        )
 
     def test_uncalibrated_engine(self):
         raw = MasParEngine(calibrate=False).parse(program_grammar(), "The program runs")
