@@ -1,4 +1,4 @@
-"""The built-in rule catalogue (codes ``RPR001``..``RPR013``, ``RPR017``).
+"""The built-in rule catalogue (codes ``RPR001``..``RPR013``).
 
 Each rule encodes one repo invariant:
 
@@ -40,11 +40,6 @@ RPR013    kernel-bit-arith        word-level bit arithmetic (``np.bitwise_and`` 
                                   ``unpackbits``) lives in ``repro/kernels/`` and
                                   ``repro/network/bitset.py``; everyone else calls
                                   the kernel API
-RPR017    native-boundary-        ``.ctypes`` in ``repro/kernels/native/`` only on
-          hygiene                 arrays that went through a dtype/contiguity
-                                  validator (``ascontiguousarray``, ``np.empty`` /
-                                  ``zeros``, ``_as_words``, ``_require_words``)
-                                  in the same function
 ========  ======================  ==================================================
 
 The whole-project rules (RPR014 cross-module-lock-cycle, RPR015
@@ -1066,95 +1061,3 @@ class KernelBitArith(LintRule):
                 if attr in self._BANNED:
                     return attr
         return None
-
-
-@register_rule
-class NativeBoundaryHygiene(LintRule):
-    """RPR017: validate buffers before they cross into foreign code.
-
-    A numpy array handed to a C function through ``.ctypes`` is a raw
-    pointer: a wrong dtype, a non-contiguous view, or an unexpected
-    byte order is not a Python exception on the other side, it is
-    silent memory corruption.  So inside ``repro/kernels/native/``
-    every ``.ctypes`` access must be on an array that provably went
-    through a validating constructor in the same function — one of
-    numpy's contiguity-guaranteeing allocators/copiers
-    (``ascontiguousarray``, ``empty``, ``zeros``, ``empty_like``,
-    ``zeros_like``) or one of the package's own checked wrappers
-    (``_as_words``, ``_require_words``).  An
-    unvalidated ``.ctypes`` is a finding; route the array through a
-    validator first.
-    """
-
-    code = "RPR017"
-    name = "native-boundary-hygiene"
-    description = "unvalidated array handed across the ctypes boundary"
-
-    _SCOPE = ("/kernels/native/",)
-
-    #: Calls whose result is contiguity/dtype-safe to hand to C: numpy
-    #: allocators (fresh arrays are C-contiguous) and the native
-    #: package's own validating wrappers.
-    _VALIDATORS = frozenset(
-        {
-            "ascontiguousarray",
-            "empty",
-            "zeros",
-            "empty_like",
-            "zeros_like",
-            "_as_words",
-            "_require_words",
-        }
-    )
-
-    def check_module(self, module: SourceModule) -> Iterable[Finding]:
-        rel = "/" + module.rel
-        if not any(piece in rel for piece in self._SCOPE):
-            return
-        for func in ast.walk(module.tree):
-            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            nodes = list(_own_nodes(func))
-            validated = self._validated_names(nodes)
-            for node in nodes:
-                if not (isinstance(node, ast.Attribute) and node.attr == "ctypes"):
-                    continue
-                base = node.value
-                if isinstance(base, ast.Call):
-                    # Direct validator(...).ctypes is fine.
-                    if _terminal_name(base.func) in self._VALIDATORS:
-                        continue
-                elif isinstance(base, ast.Name) and base.id in validated:
-                    continue
-                yield self.finding(
-                    module,
-                    node,
-                    f"'.ctypes' on an unvalidated array in {func.name}(); "
-                    "native wrappers must route every buffer through a "
-                    "dtype/contiguity validator (ascontiguousarray, "
-                    "np.empty/zeros, _as_words, _require_words) before "
-                    "handing it to C",
-                )
-
-    def _validated_names(self, nodes: "list[ast.AST]") -> "set[str]":
-        """Names assigned (anywhere in the function) from a validator call.
-
-        Flow-insensitive on purpose: an over-approximation keeps the
-        rule quiet on the common rebind-in-place idiom
-        (``mask = np.ascontiguousarray(mask)``) while still flagging
-        arrays that never met a validator at all.
-        """
-        names: set[str] = set()
-        for node in nodes:
-            if not isinstance(node, ast.Assign):
-                continue
-            value = node.value
-            if not (
-                isinstance(value, ast.Call)
-                and _terminal_name(value.func) in self._VALIDATORS
-            ):
-                continue
-            names.update(
-                target.id for target in node.targets if isinstance(target, ast.Name)
-            )
-        return names

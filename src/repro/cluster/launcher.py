@@ -43,12 +43,9 @@ class ClusterLauncher:
             *string*, because each shard re-resolves it in its own
             process (grammars do not cross the spawn boundary).
         shards: shard count.
-        engine / workers / workers_mode / kernel_backend /
-        max_batch_size / max_linger:
-            forwarded to every shard's service (``kernel_backend`` is a
-            backend *name* — it crosses the process boundary on the
-            shard command line and each shard resolves it locally,
-            falling back to ``packed`` on hosts that cannot build it).
+        engine / workers / workers_mode / max_batch_size / max_linger:
+            forwarded to every shard's service on the shard command
+            line.  Every shard runs the packed kernel core.
         run_dir: where port files, shard logs, and captured
             stdout/stderr live.  Defaults to ``.repro-cluster/<pid>``
             under the working directory.
@@ -64,7 +61,6 @@ class ClusterLauncher:
         engine: str = "vector",
         workers: int = 1,
         workers_mode: str = "thread",
-        kernel_backend: "str | None" = None,
         max_batch_size: int = 16,
         max_linger: float = 0.002,
         run_dir: "Path | str | None" = None,
@@ -77,7 +73,6 @@ class ClusterLauncher:
         self.engine = engine
         self.workers = workers
         self.workers_mode = workers_mode
-        self.kernel_backend = kernel_backend
         self.max_batch_size = max_batch_size
         self.max_linger = max_linger
         self.host = host
@@ -134,8 +129,6 @@ class ClusterLauncher:
                 "--log", str(self.log_path(index)),
                 "--port-file", str(self.port_path(index)),
             ]
-            if self.kernel_backend is not None:
-                command += ["--kernel-backend", self.kernel_backend]
             # Held for the shard's lifetime; closed in shutdown().
             stdio = open(self.run_dir / f"shard-{index}.out", "ab")  # noqa: SIM115
             self._stdio.append(stdio)

@@ -132,9 +132,10 @@ class ParseServer:
         host / port: bind address; ``port=0`` asks the OS for a free
             port (read it back from :attr:`port` after start).
         shard_id: stamped into every log line and pong.
-        workers / workers_mode / start_method / kernel_backend /
+        workers / workers_mode / start_method /
         max_queue / max_batch_size / max_linger / filter_limit:
-            forwarded to the underlying :class:`ParseService`.  Admission is always
+            forwarded to the underlying :class:`ParseService`, which
+            runs the packed kernel core.  Admission is always
             ``"reject"`` — blocking admission would park the event
             loop; overload travels to the router as a typed error.
         log_path: shard log file (None disables logging).
@@ -154,7 +155,6 @@ class ParseServer:
         workers: int = 1,
         workers_mode: str = "thread",
         start_method: str | None = None,
-        kernel_backend: "str | None" = None,
         max_queue: int = 1024,
         max_batch_size: int = 16,
         max_linger: float = 0.002,
@@ -175,7 +175,6 @@ class ParseServer:
             workers=workers,
             workers_mode=workers_mode,
             start_method=start_method,
-            kernel_backend=kernel_backend,
             max_queue=max_queue,
             max_batch_size=max_batch_size,
             max_linger=max_linger,

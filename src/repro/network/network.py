@@ -56,7 +56,7 @@ import numpy as np
 from repro.errors import NetworkError
 from repro.grammar.grammar import CDGGrammar, Sentence
 from repro.kernels import bitops
-from repro.kernels.backend import KernelBackend, default_backend
+from repro.kernels.backend import KernelBackend, create_backend
 from repro.network import bitset
 from repro.network.bitset import BitLayout
 from repro.network.rolevalue import RoleValue
@@ -114,14 +114,14 @@ class ConstraintNetwork:
     _alive_cache: "np.ndarray | None" = None
     _matrix_cache: "np.ndarray | None" = None
 
-    #: Kernel backend the packed paths run on; None means "resolve the
-    #: process default" (REPRO_KERNEL_BACKEND, else packed).  Stamped by
-    #: NetworkTemplate.fill when a session threads an explicit backend.
+    #: Kernel backend the packed paths run on; None means the shared
+    #: packed core.  Stamped by NetworkTemplate.fill from the session's
+    #: backend (a tracer's timing proxy, say).
     kernel_backend: "KernelBackend | None" = None
 
     def kernels(self) -> KernelBackend:
         """The kernel backend this network's packed operations run on."""
-        return self.kernel_backend or default_backend()
+        return self.kernel_backend or create_backend()
 
     def __init__(self, grammar: CDGGrammar, sentence: Sentence):
         from repro.pipeline.template import NetworkTemplate

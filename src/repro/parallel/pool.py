@@ -34,8 +34,6 @@ import numpy as np
 from repro.engines.base import EngineStats, ParseResult, ParserEngine
 from repro.engines.registry import create_engine
 from repro.errors import ReproError
-from repro.kernels import backend as kernel_env
-from repro.kernels.backend import create_backend
 from repro.grammar.grammar import CDGGrammar, Sentence
 from repro.parallel.shared import SharedTemplateHandle, attach_template
 from repro.pipeline.cache import LRUCache
@@ -75,18 +73,8 @@ def _close_attachment(entry: "tuple[NetworkTemplate, object]") -> None:
     entry[1].close()
 
 
-def _init_child(
-    grammar: CDGGrammar,
-    engine: str,
-    cache_size: int,
-    kernel_backend: "str | None" = None,
-) -> None:
+def _init_child(grammar: CDGGrammar, engine: str, cache_size: int) -> None:
     global _CHILD
-    if kernel_backend is not None:
-        # Kernel backends, like engines, cross the process boundary as
-        # names; exporting the selection through the environment lets
-        # every network the child binds resolve it via default_backend.
-        os.environ[kernel_env.ENV_VAR] = kernel_backend
     _CHILD = {
         "grammar": grammar,
         "compiled": compile_grammar(grammar),
@@ -126,9 +114,6 @@ def _parse_chunk(
         stats.engine = engine.name
         stats.extra.setdefault("network_bytes", network.state_nbytes())
         stats.extra["worker_pid"] = os.getpid()
-        # Report the backend the *worker* resolved (post-fallback), so
-        # the parent can verify its selection actually crossed the
-        # process boundary — or see what it degraded to.
         stats.extra.setdefault("kernel_backend", network.kernels().name)
         results.append(
             WireResult(
@@ -176,7 +161,6 @@ class ProcessPool:
         workers: int = 2,
         start_method: str | None = None,
         child_cache_size: int = DEFAULT_CHILD_CACHE,
-        kernel_backend: "str | None" = None,
     ):
         if isinstance(engine, ParserEngine):
             raise ReproError(
@@ -185,14 +169,6 @@ class ProcessPool:
             )
         if workers < 1:
             raise ReproError(f"process pool needs workers >= 1, got {workers}")
-        if kernel_backend is not None:
-            if not isinstance(kernel_backend, str):
-                raise ReproError(
-                    "process workers need a kernel-backend *name* from the "
-                    "registry (backend instances cannot be shipped to child "
-                    "processes)"
-                )
-            create_backend(kernel_backend)  # fail fast on unknown names
         self.workers = workers
         self.start_method = start_method or default_start_method()
         # Make sure the parent's resource tracker exists *before* the
@@ -204,7 +180,7 @@ class ProcessPool:
         self._pool = context.Pool(
             processes=workers,
             initializer=_init_child,
-            initargs=(grammar, engine, child_cache_size, kernel_backend),
+            initargs=(grammar, engine, child_cache_size),
         )
         self._closed = False
 

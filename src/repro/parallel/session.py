@@ -34,11 +34,9 @@ class ParallelSession:
         grammar: the grammar all sentences are parsed under.
         engine: an engine *name* from the registry (instances cannot
             cross the process boundary).
-        workers: worker process count.
-        kernel_backend: a kernel-backend *name* from
-            :mod:`repro.kernels.backend`, exported to every worker
-            (instances cannot cross the process boundary); None keeps
-            each process's own default.
+        workers: worker process count.  Every worker runs the packed
+            kernel core; its results carry
+            ``stats.extra["kernel_backend"] == "packed"``.
         start_method: ``"fork"`` / ``"spawn"`` / ``"forkserver"``;
             defaults to fork where the platform has it.
         filter_limit: session-default filtering bound, shipped with
@@ -56,7 +54,6 @@ class ParallelSession:
         engine: str = "vector",
         *,
         workers: int = 2,
-        kernel_backend: "str | None" = None,
         start_method: str | None = None,
         filter_limit: int | None = None,
         template_cache_size: int = DEFAULT_TEMPLATE_CACHE,
@@ -71,7 +68,6 @@ class ParallelSession:
         self._session = ParserSession(
             grammar,
             engine=engine,
-            backend=kernel_backend,
             filter_limit=filter_limit,
             template_cache_size=template_cache_size,
         )
@@ -83,7 +79,6 @@ class ParallelSession:
             workers=workers,
             start_method=start_method,
             child_cache_size=child_cache_size,
-            kernel_backend=kernel_backend,
         )
         self._closed = False
 

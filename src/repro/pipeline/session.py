@@ -58,14 +58,10 @@ class ParserSession:
         engine: an engine name from the registry (``"serial"``,
             ``"vector"``, ``"pram"``, ``"maspar"``, ``"mesh"``, ...)
             or a :class:`~repro.engines.base.ParserEngine` instance.
-        backend: a kernel-backend name from
-            :mod:`repro.kernels.backend` (``"packed"`` or
-            ``"native"``, which falls back to ``"packed"`` with one
-            warning when it cannot be built) or a
-            :class:`~repro.kernels.backend.KernelBackend` instance;
-            None consults ``REPRO_KERNEL_BACKEND`` and defaults to
-            ``"packed"``.  Every network the session binds runs its
-            packed inner loops on this backend.
+        backend: a :class:`~repro.kernels.backend.KernelBackend`
+            instance (a timing proxy, say) or None for the shared
+            packed core.  Every network the session binds runs its
+            packed inner loops on it.
         filter_limit: session-default filtering bound (design decision
             5); individual calls may override it.
         template_cache_size: bound on the per-shape template LRU.
@@ -76,7 +72,7 @@ class ParserSession:
         grammar: CDGGrammar,
         engine: "str | ParserEngine" = "vector",
         *,
-        backend: "str | KernelBackend | None" = None,
+        backend: "KernelBackend | None" = None,
         filter_limit: int | None = None,
         template_cache_size: int = DEFAULT_TEMPLATE_CACHE,
     ):

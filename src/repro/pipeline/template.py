@@ -148,8 +148,8 @@ class NetworkTemplate:
 
     #: Kernel backend stamped onto every network bound from this
     #: template (see :mod:`repro.kernels.backend`).  A ParserSession
-    #: sets it when the caller threads an explicit ``backend=``; None
-    #: means bound networks resolve the process default at use time.
+    #: sets it to its own backend on every lookup; None means bound
+    #: networks run the shared packed core.
     kernel_backend = None
 
     def __init__(

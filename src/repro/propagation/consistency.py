@@ -15,11 +15,10 @@ Two implementations with identical semantics:
   packed alive vector, then OR-reduce each row per role segment — the
   same OR-then-AND dataflow the MasPar performs with
   ``scanOr``/``scanAnd``, touching 1/8th of the memory the boolean
-  sweep reads.  Which kernels run depends on the network's backend
-  (:mod:`repro.kernels.backend`): ``packed`` does a word-wide AND plus
-  a byte ``reduceat``; ``native`` runs the same masked segmented OR in
-  C.  On a boolean-mode network it is the original
-  ``logical_or.reduceat`` over bytes.
+  sweep reads.  The packed kernel core (:mod:`repro.kernels.backend`)
+  does it as a word-wide AND plus a byte ``reduceat``.  On a
+  boolean-mode network it is the original ``logical_or.reduceat`` over
+  bytes.
 * :func:`unsupported_serial` — explicit loops over arcs and rows, used by
   the faithful sequential engine and for cross-checking.
 

@@ -166,12 +166,9 @@ class ParseService:
             (see :class:`ShapeBatcher`).
         default_timeout: deadline in seconds applied to requests that
             do not pass their own ``timeout``; ``None`` = no deadline.
-        kernel_backend: a kernel-backend name from
-            :mod:`repro.kernels.backend` forwarded to every worker's
-            session (and, in process mode, exported to the worker
-            processes); None keeps the process default.
         filter_limit / template_cache_size: forwarded to every worker's
-            session.
+            session.  Every worker, thread or process, runs the packed
+            kernel core.
         clock: monotonic time source (injectable for tests).
     """
 
@@ -187,7 +184,6 @@ class ParseService:
         max_batch_size: int = 16,
         max_linger: float = 0.002,
         default_timeout: float | None = None,
-        kernel_backend: "str | None" = None,
         filter_limit: int | None = None,
         template_cache_size: int = DEFAULT_TEMPLATE_CACHE,
         workers_mode: str = "thread",
@@ -229,7 +225,6 @@ class ParseService:
         self.default_timeout = default_timeout
         self.metrics = ServiceMetrics()
         self._engine_spec = engine
-        self._kernel_backend = kernel_backend
         self._filter_limit = filter_limit
         self._template_cache_size = template_cache_size
         self._clock = clock
@@ -271,7 +266,6 @@ class ParseService:
                 self._engine_spec,
                 workers=self.n_workers,
                 start_method=self._start_method,
-                kernel_backend=self._kernel_backend,
             )
         for index in range(self.n_workers):
             # A string spec makes each session build its own engine
@@ -280,7 +274,6 @@ class ParseService:
             session = ParserSession(
                 self.grammar,
                 engine=self._engine_spec,
-                backend=self._kernel_backend,
                 filter_limit=self._filter_limit,
                 template_cache_size=self._template_cache_size,
             )

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GrammarError
-from repro.kernels.backend import ENV_VAR
 from repro.cfg import (
     CFG,
     anbn_cfg,
@@ -123,9 +122,7 @@ class TestCYKPackedVsSetOracle:
     operation counts are equal.
 
     The class keeps the name of the packed-vs-set chart comparison it
-    replaced, and that comparison's kernel-backend axis: CFG recognition
-    runs on no kernel backend, so the sweep must hold whichever backend
-    ``REPRO_KERNEL_BACKEND`` selects."""
+    replaced."""
 
     GRAMMARS = {
         "anbn": anbn_cfg,
@@ -136,9 +133,7 @@ class TestCYKPackedVsSetOracle:
     }
 
     @pytest.mark.parametrize("name", sorted(GRAMMARS))
-    @pytest.mark.parametrize("backend", ["packed", "native"])
-    def test_sweep_matches_oracle(self, name, backend, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, backend)
+    def test_sweep_matches_oracle(self, name):
         grammar = self.GRAMMARS[name]()
         cnf = to_cnf(grammar)
         rng = random.Random(name)

@@ -145,32 +145,6 @@ class TestVersionAndEngineValidation:
             registry._REGISTRY.pop("cli-test-engine", None)
 
 
-class TestKernelBackendFlag:
-    def test_parse_accepts_backend_name(self):
-        code, text = run_cli(
-            ["parse", "the dog runs", "--kernel-backend", "native"]
-        )
-        assert code == 0 and "parses (1)" in text
-
-    def test_unknown_backend_lists_registered_backends(self, capsys):
-        for name in ("abacus", "numpy"):
-            code, _ = run_cli(["parse", "the dog runs", "--kernel-backend", name])
-            assert code == 2
-            err = capsys.readouterr().err
-            assert f"unknown kernel backend {name!r}; available: native, packed" in err
-
-    def test_bench_kernels_quick_writes_record(self, tmp_path):
-        out_path = tmp_path / "BENCH_kernels.json"
-        code, text = run_cli(["bench-kernels", "--quick", "--out", str(out_path)])
-        assert code == 0
-        assert "Kernel backends end to end" in text
-        import json
-
-        record = json.loads(out_path.read_text())
-        assert record["bit_identity"]["ok"]
-        assert record["host"]["cpu_count"] >= 1
-
-
 class TestServeBench:
     def test_serve_bench_prints_metrics_snapshot(self):
         code, text = run_cli(

@@ -24,6 +24,7 @@ The load-bearing invariants:
 from __future__ import annotations
 
 import asyncio
+import signal
 import socket
 import struct
 import time
@@ -32,7 +33,13 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
-from repro.cluster.errors import ClusterError, ConnectionClosed, FrameTooLarge, WireError
+from repro.cluster.errors import (
+    ClusterError,
+    ConnectionClosed,
+    FrameTooLarge,
+    ShardUnavailable,
+    WireError,
+)
 from repro.cluster.launcher import ClusterLauncher
 from repro.cluster.loadgen import LoadReport, _percentile, closed_loop, open_loop, seeded_corpus
 from repro.cluster.logs import ClusterLogParser, MergedTimeline, parse_log_text
@@ -560,6 +567,38 @@ class TestLauncherEndToEnd:
         summary = ClusterLogParser.from_directory(tmp_path, pool=False).summary()
         assert summary["completed"] >= len(sentences)
         assert summary["shards"] == [0, 1]
+        assert launcher.alive() == []
+
+    def test_killed_shard_fails_every_request_typed(self, tmp_path):
+        grammar = english_grammar()
+        launcher = ClusterLauncher(
+            "english", shards=1, workers=1, workers_mode="thread", run_dir=tmp_path
+        ).start()
+        try:
+            with launcher.client(grammar) as client:
+                client.submit(sentence_of_length(4)).result(WAIT)  # warm
+                futures = [
+                    client.submit(sentence_of_length(10 + i % 6)) for i in range(300)
+                ]
+                launcher._procs[0].send_signal(signal.SIGKILL)
+                # Every future resolves promptly: a result that beat
+                # the kill, or the typed verdict — never a hang.
+                deadline = time.monotonic() + 20.0
+                outcomes = []
+                for future in futures:
+                    try:
+                        outcomes.append(future.result(max(0.0, deadline - time.monotonic())))
+                    except ShardUnavailable as error:
+                        outcomes.append(error)
+                assert any(isinstance(o, ShardUnavailable) for o in outcomes)
+                assert all(
+                    isinstance(o, ShardUnavailable) or o.network is not None
+                    for o in outcomes
+                )
+                with pytest.raises(ShardUnavailable):
+                    client.submit(sentence_of_length(4)).result(WAIT)
+        finally:
+            launcher.shutdown()
         assert launcher.alive() == []
 
     def test_launcher_refuses_zero_shards(self):

@@ -1045,68 +1045,3 @@ class TestCliChangedOnly:
         bad.write_text(BAD_WARN)
         monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
         assert lint_main([str(bad), "--changed-only"], out=io.StringIO()) == 2
-
-
-class TestNativeBoundaryHygieneRPR017:
-    INSIDE = "src/repro/kernels/native/backend.py"
-
-    def test_trigger_raw_argument_handed_to_c(self):
-        source = (
-            "def call(lib, words):\n"
-            "    lib.kernel(words.ctypes.data_as(None), words.size)\n"
-        )
-        findings = lint_source(source, path=self.INSIDE, select={"RPR017"})
-        assert codes(findings) == ["RPR017"]
-        assert "unvalidated" in findings[0].message
-
-    def test_trigger_asarray_is_not_enough(self):
-        # np.asarray preserves dtype and strides — a transposed float
-        # view sails through it straight into C.
-        source = (
-            "import numpy as np\n"
-            "def call(lib, words):\n"
-            "    arr = np.asarray(words)\n"
-            "    lib.kernel(arr.ctypes.data_as(None), arr.size)\n"
-        )
-        findings = lint_source(source, path=self.INSIDE, select={"RPR017"})
-        assert codes(findings) == ["RPR017"]
-
-    def test_pass_validated_names_and_direct_validator_call(self):
-        source = (
-            "import numpy as np\n"
-            "def call(lib, words, target):\n"
-            "    arr = np.ascontiguousarray(words)\n"
-            "    out = np.empty((3, 4), dtype='<u8')\n"
-            "    target = _require_words(target)\n"
-            "    lib.kernel(arr.ctypes.data_as(None),\n"
-            "               out.ctypes.data_as(None),\n"
-            "               target.ctypes.data_as(None),\n"
-            "               np.ascontiguousarray(words).ctypes.data_as(None))\n"
-        )
-        assert lint_source(source, path=self.INSIDE, select={"RPR017"}) == []
-
-    def test_pass_rebind_in_place_idiom(self):
-        source = (
-            "import numpy as np\n"
-            "def call(lib, mask):\n"
-            "    mask = np.ascontiguousarray(mask)\n"
-            "    lib.kernel(mask.ctypes.data_as(None), mask.size)\n"
-        )
-        assert lint_source(source, path=self.INSIDE, select={"RPR017"}) == []
-
-    def test_out_of_scope_modules_are_ignored(self):
-        source = (
-            "def call(lib, words):\n"
-            "    lib.kernel(words.ctypes.data_as(None))\n"
-        )
-        assert (
-            lint_source(source, path="src/repro/kernels/bmm.py", select={"RPR017"})
-            == []
-        )
-
-    def test_real_native_wrappers_lint_clean(self):
-        path = REPO_SRC / "repro" / "kernels" / "native" / "backend.py"
-        findings = lint_source(
-            path.read_text(), path=str(path), select={"RPR017"}
-        )
-        assert findings == []

@@ -84,6 +84,7 @@ class TestParallelEquivalence:
         # Every sentence really ran in a child process.
         pids = {r.stats.extra.get("worker_pid") for r in results}
         assert None not in pids and os.getpid() not in pids
+        assert {r.stats.extra["kernel_backend"] for r in results} == {"packed"}
         # Clean shutdown unlinked every exported block.
         assert shm_segments() <= before
 
@@ -244,75 +245,3 @@ class TestServiceProcessMode:
             ParseService(english_grammar(), workers_mode="fiber")
         with pytest.raises(ValueError):
             ParseService(english_grammar(), workers_mode="process", engine=VectorEngine())
-
-
-class TestKernelBackendPropagation:
-    """The backend *name* must survive the process boundary: a parent
-    selecting ``native`` gets workers that resolved the same
-    backend (or its documented fallback), visible in worker-side stats.
-    """
-
-    SENTENCES = [sentence_of_length(n) for n in (3, 5, 7)]
-
-    @staticmethod
-    def _requires_compiler():
-        from repro.kernels.native import find_compiler
-
-        if find_compiler() is None:
-            pytest.skip("no C compiler on this host")
-
-    def test_native_reaches_process_children(self):
-        self._requires_compiler()
-        grammar = english_grammar()
-        baseline = ParserSession(grammar).parse_many(self.SENTENCES)
-        with ParallelSession(grammar, workers=2, kernel_backend="native") as parallel:
-            results = parallel.parse_many(self.SENTENCES)
-        for result, reference in zip(results, baseline, strict=True):
-            assert result.stats.extra["kernel_backend"] == "native"
-            assert_same_network(result.network, reference.network)
-
-    def test_no_compiler_children_degrade_to_packed(self, monkeypatch, tmp_path):
-        from repro.kernels import reset_backend_cache
-        from repro.kernels.native import ENV_CACHE, ENV_CC
-
-        # Both knobs: a bogus compiler AND an empty build cache, or a
-        # previously built library would load compiler-free.
-        monkeypatch.setenv(ENV_CC, str(tmp_path / "no-such-cc"))
-        monkeypatch.setenv(ENV_CACHE, str(tmp_path / "native-cache"))
-        reset_backend_cache()
-        try:
-            grammar = english_grammar()
-            baseline = ParserSession(grammar, backend="packed").parse_many(self.SENTENCES)
-            # The baseline (or suite-wide REPRO_KERNEL_BACKEND=native)
-            # may already have burned the warn-once fallback; re-arm it
-            # so the parallel construction provably warns.
-            reset_backend_cache("native")
-            with pytest.warns(RuntimeWarning, match="falling back"):
-                parallel = ParallelSession(grammar, workers=1, kernel_backend="native")
-            with parallel:
-                results = parallel.parse_many(self.SENTENCES)
-            for result, reference in zip(results, baseline, strict=True):
-                # The worker reports what it actually resolved: the
-                # documented degradation, never an exception.
-                assert result.stats.extra["kernel_backend"] == "packed"
-                assert_same_network(result.network, reference.network)
-        finally:
-            reset_backend_cache()
-
-    def test_service_process_mode_reports_worker_backend(self):
-        from repro import ParseService
-
-        self._requires_compiler()
-        grammar = english_grammar()
-        baseline = ParserSession(grammar).parse_many(self.SENTENCES)
-        with ParseService(
-            grammar,
-            workers=1,
-            workers_mode="process",
-            kernel_backend="native",
-            max_linger=0.001,
-        ) as service:
-            results = service.parse_many(self.SENTENCES)
-        for result, reference in zip(results, baseline, strict=True):
-            assert result.stats.extra["kernel_backend"] == "native"
-            assert_same_network(result.network, reference.network)
