@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import VectorEngine
+from repro import ParserSession
 from repro.analysis import fit_power_law, format_seconds
 from repro.grammar.builtin.english import english_grammar
 from repro.grammar.grammar import CDGGrammar
@@ -48,7 +48,6 @@ def test_lexical_table_ablation(benchmark, report):
     """ABL-T: the footnote-1 label restriction."""
     refined = english_grammar()
     unrefined = english_without_lexical_table()
-    engine = VectorEngine()
     ns = [6, 10, 14]
 
     def sweep():
@@ -57,8 +56,8 @@ def test_lexical_table_ablation(benchmark, report):
             words = sentence_of_length(n)
             net_r = ConstraintNetwork(refined, refined.tokenize(words))
             net_u = ConstraintNetwork(unrefined, unrefined.tokenize(words))
-            res_r = engine.parse(refined, words)
-            res_u = engine.parse(unrefined, words)
+            res_r = ParserSession(refined, engine="vector").parse(words)
+            res_u = ParserSession(unrefined, engine="vector").parse(words)
             assert res_r.locally_consistent and res_u.locally_consistent
             rows.append((n, net_r.nv, net_u.nv, res_r.stats.wall_seconds, res_u.stats.wall_seconds))
         return rows

@@ -22,7 +22,7 @@ import statistics
 
 import pytest
 
-from repro import SerialEngine, VectorEngine
+from repro import ParserSession
 from repro.analysis import fit_power_law, format_seconds
 from repro.grammar.builtin import program_grammar
 from repro.parsec import MasParEngine
@@ -37,14 +37,14 @@ NS = list(range(1, 8))
 
 def maspar_per_constraint_seconds(n: int) -> float:
     engine = MasParEngine()
-    result = engine.parse(program_grammar(), toy_sentence(n))
+    result = ParserSession(program_grammar(), engine=engine).parse(toy_sentence(n))
     cycles = result.stats.extra["constraint_cycles"]
     factor = result.stats.extra["calibration_factor"]
     return statistics.mean(cycles) * factor / engine.cost.clock_hz
 
 
 def wall_per_constraint_seconds(engine, n: int) -> float:
-    result = engine.parse(program_grammar(), toy_sentence(n))
+    result = ParserSession(program_grammar(), engine=engine).parse(toy_sentence(n))
     return result.stats.wall_seconds / result.network.grammar.k
 
 
@@ -52,8 +52,8 @@ def wall_per_constraint_seconds(engine, n: int) -> float:
 def test_per_constraint_time_one_to_seven_words(benchmark, report):
     def sweep():
         maspar = [maspar_per_constraint_seconds(n) for n in NS]
-        serial = [wall_per_constraint_seconds(SerialEngine(exhaustive=True), n) for n in NS]
-        vector = [wall_per_constraint_seconds(VectorEngine(), n) for n in NS]
+        serial = [wall_per_constraint_seconds("serial-exhaustive", n) for n in NS]
+        vector = [wall_per_constraint_seconds("vector", n) for n in NS]
         return maspar, serial, vector
 
     maspar, serial, vector = benchmark.pedantic(sweep, rounds=1, iterations=1)

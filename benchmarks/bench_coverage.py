@@ -15,7 +15,7 @@ import statistics
 
 import pytest
 
-from repro import VectorEngine, count_parses
+from repro import ParserSession, count_parses
 from repro.analysis import profile_parse
 from repro.grammar.builtin import english_extended_grammar, english_grammar
 from repro.workloads import random_sentence, scrambled_sentence
@@ -24,12 +24,11 @@ CORPUS_SIZE = 40
 
 
 def corpus_stats(grammar, sentences):
-    engine = VectorEngine()
     accepted = 0
     parse_counts = []
     settled = []
     for words in sentences:
-        result = engine.parse(grammar, words)
+        result = ParserSession(grammar, engine="vector").parse(words)
         parses = count_parses(result.network, limit=100)
         if parses:
             accepted += 1

@@ -27,7 +27,9 @@ from repro.workloads import sentence_of_length
 def test_parse_toy_sentence(benchmark, engine):
     grammar = program_grammar()
     benchmark.pedantic(
-        lambda: engine.parse(grammar, "The program runs"), rounds=3, iterations=1
+        lambda: ParserSession(grammar, engine=engine).parse("The program runs"),
+        rounds=3,
+        iterations=1,
     )
 
 
@@ -41,7 +43,9 @@ def test_parse_toy_sentence(benchmark, engine):
 def test_parse_english_sentence(benchmark, engine, n):
     grammar = english_grammar()
     words = sentence_of_length(n)
-    benchmark.pedantic(lambda: engine.parse(grammar, words), rounds=3, iterations=1)
+    benchmark.pedantic(
+        lambda: ParserSession(grammar, engine=engine).parse(words), rounds=3, iterations=1
+    )
 
 
 @pytest.mark.benchmark(group="micro-session")
@@ -64,7 +68,7 @@ def test_network_construction(benchmark):
 @pytest.mark.benchmark(group="micro-components")
 def test_extraction(benchmark):
     grammar = english_grammar()
-    result = VectorEngine().parse(grammar, sentence_of_length(11))
+    result = ParserSession(grammar, engine="vector").parse(sentence_of_length(11))
     benchmark(lambda: extract_parses(result.network, limit=None))
 
 

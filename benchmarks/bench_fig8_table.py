@@ -16,14 +16,12 @@ backs every implementable row with a measurement:
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro import PRAMEngine, SerialEngine
+from repro import ParserSession
 from repro.analysis import fit_log_growth, fit_power_law
 from repro.cfg import cyk_parse, english_cfg, mesh_cyk, to_cnf
 from repro.grammar.builtin import program_grammar
-from repro.parsec import MasParEngine
 from repro.workloads import sentence_of_length, toy_sentence
 
 
@@ -46,30 +44,27 @@ def measure_cfg_mesh():
 
 def measure_cdg_sequential():
     grammar = program_grammar()
-    engine = SerialEngine()
     ns = [3, 4, 5, 6]
     checks = [
-        engine.parse(grammar, toy_sentence(n)).stats.pair_checks for n in ns
+        ParserSession(grammar, engine="serial").parse(toy_sentence(n)).stats.pair_checks
+        for n in ns
     ]
     return fit_power_law(ns, checks)
 
 
 def measure_cdg_pram():
     grammar = program_grammar()
-    engine = PRAMEngine()
     ns = [3, 4, 5]
-    results = [engine.parse(grammar, toy_sentence(n)) for n in ns]
+    results = [ParserSession(grammar, engine="pram").parse(toy_sentence(n)) for n in ns]
     steps = [r.stats.parallel_steps for r in results]
     procs = [r.stats.processors for r in results]
     return ns, steps, fit_power_law(ns, procs)
 
 
 def measure_cdg_mesh():
-    from repro import MeshEngine
-
     grammar = program_grammar()
     ns = [3, 6, 9, 12]
-    results = [MeshEngine().parse(grammar, toy_sentence(n)) for n in ns]
+    results = [ParserSession(grammar, engine="mesh").parse(toy_sentence(n)) for n in ns]
     times = [r.stats.extra["mesh_time"] for r in results]
     cells = [r.stats.processors for r in results]
     return fit_power_law(ns, times), fit_power_law(ns, cells)
@@ -77,10 +72,10 @@ def measure_cdg_mesh():
 
 def measure_cdg_maspar():
     grammar = program_grammar()
-    engine = MasParEngine()
     ns = [2, 3, 4, 5, 6, 7, 8]  # the single-virtualization-unit regime
     cycles = [
-        engine.parse(grammar, toy_sentence(n)).stats.extra["cycles"] for n in ns
+        ParserSession(grammar, engine="maspar").parse(toy_sentence(n)).stats.extra["cycles"]
+        for n in ns
     ]
     slope, intercept, r2 = fit_log_growth(ns, cycles)
     return ns, cycles, slope, r2

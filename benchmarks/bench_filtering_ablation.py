@@ -20,7 +20,7 @@ import statistics
 
 import pytest
 
-from repro import VectorEngine
+from repro import ParserSession
 from repro.grammar.builtin import (
     anbn_grammar,
     copy_language_grammar,
@@ -43,15 +43,14 @@ def build_corpus():
 
 @pytest.mark.benchmark(group="claim-f")
 def test_filtering_iterations_are_few(benchmark, report):
-    engine = VectorEngine()
     corpus = build_corpus()
 
     def sweep():
         iters = []
         leftovers = []
         for grammar, words in corpus:
-            full = engine.parse(grammar, words)
-            bounded = engine.parse(grammar, words, filter_limit=0)
+            full = ParserSession(grammar, engine="vector").parse(words)
+            bounded = ParserSession(grammar, engine="vector").parse(words, filter_limit=0)
             iters.append(full.stats.filtering_iterations)
             leftovers.append(
                 int(bounded.network.alive.sum()) - int(full.network.alive.sum())

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro import ParserSession
 from repro.analysis import format_seconds
 from repro.grammar.builtin import program_grammar
-from repro.parsec import MasParEngine, step_function_seconds, virtualization_units
+from repro.parsec import step_function_seconds, virtualization_units
 from repro.workloads import toy_sentence
 
 NS = list(range(2, 13))
@@ -27,12 +28,10 @@ NS = list(range(2, 13))
 
 @pytest.mark.benchmark(group="res-t2")
 def test_parse_time_step_function(benchmark, report):
-    engine = MasParEngine()
-
     def sweep():
         out = {}
         for n in NS:
-            result = engine.parse(program_grammar(), toy_sentence(n))
+            result = ParserSession(program_grammar(), engine="maspar").parse(toy_sentence(n))
             out[n] = result.stats
         return out
 

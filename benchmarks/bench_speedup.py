@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro import SerialEngine, VectorEngine
+from repro import ParserSession
 from repro.analysis import format_seconds
 from repro.grammar.builtin import program_grammar
-from repro.parsec import MasParEngine
 from repro.parsec.timing import PAPER_SERIAL_SEVEN_WORD_SECONDS
 from repro.workloads import toy_sentence
 
@@ -37,10 +36,10 @@ def test_seven_word_speedup(benchmark, report):
     seven = toy_sentence(7)
 
     def run():
-        maspar = MasParEngine().parse(grammar, seven)
-        exhaustive = SerialEngine(exhaustive=True).parse(grammar, seven)
-        pruned = SerialEngine().parse(grammar, seven)
-        vector = VectorEngine().parse(grammar, seven)
+        maspar = ParserSession(grammar, engine="maspar").parse(seven)
+        exhaustive = ParserSession(grammar, engine="serial-exhaustive").parse(seven)
+        pruned = ParserSession(grammar, engine="serial").parse(seven)
+        vector = ParserSession(grammar, engine="vector").parse(seven)
         return maspar, exhaustive, pruned, vector
 
     maspar, exhaustive, pruned, vector = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -13,7 +13,7 @@ Run:  python examples/copy_language.py
 
 from __future__ import annotations
 
-from repro import VectorEngine, accepts, extract_parses
+from repro import ParserSession, accepts, extract_parses
 from repro.cfg import cyk_accepts, palindrome_cfg, to_cnf
 from repro.grammar.builtin import copy_language_grammar, copy_oracle
 
@@ -22,14 +22,14 @@ STRINGS = ["abab", "abba", "aabaab", "aabbaa", "aa", "ab", "abaaba", "ba"]
 
 def main() -> None:
     grammar = copy_language_grammar()
-    engine = VectorEngine()
+    session = ParserSession(grammar, engine="vector")
     palindromes = to_cnf(palindrome_cfg())
 
     print(f"{'string':<10} {'ww (CDG)':<10} {'oracle':<8} {'w w^R (CFG)':<12}")
     print("-" * 44)
     for text in STRINGS:
         letters = list(text)
-        network = engine.parse(grammar, letters).network
+        network = session.parse(letters).network
         cdg = accepts(network)
         cfl = cyk_accepts(palindromes, letters)
         oracle = copy_oracle(letters)
@@ -40,7 +40,7 @@ def main() -> None:
         "\nNo CFG can compute the ww column (pumping lemma); the CDG grammar"
         "\ndoes it with 8 constraints.  The parse exhibits the copy map:"
     )
-    network = engine.parse(grammar, list("aabaab")).network
+    network = session.parse(list("aabaab")).network
     parse = extract_parses(network)[0]
     governor = grammar.symbols.roles.code("governor")
     for pos, head in sorted(parse.heads(governor).items()):

@@ -17,7 +17,7 @@ Run:  python examples/english_ambiguity.py
 
 from __future__ import annotations
 
-from repro import Constraint, VectorEngine, extract_parses
+from repro import Constraint, ParserSession, extract_parses
 from repro.grammar.builtin.english import english_grammar
 from repro.propagation import apply_constraint
 
@@ -37,9 +37,7 @@ def show_attachments(grammar, network) -> None:
 
 def main() -> None:
     grammar = english_grammar()
-    engine = VectorEngine()
-
-    result = engine.parse(grammar, SENTENCE)
+    result = ParserSession(grammar, engine="vector").parse(SENTENCE)
     print(f"Sentence: {SENTENCE!r}")
     print("ambiguous:", result.ambiguous)
     print()

@@ -19,7 +19,7 @@ Run:  python examples/formal_languages.py
 
 from __future__ import annotations
 
-from repro import VectorEngine, accepts, extract_parses
+from repro import ParserSession, accepts, extract_parses
 from repro.grammar.builtin import (
     abcd_grammar,
     abcd_oracle,
@@ -30,8 +30,6 @@ from repro.grammar.builtin import (
     dyck_grammar,
     dyck_oracle,
 )
-
-ENGINE = VectorEngine()
 
 SUITES = [
     ("a^n b^n", anbn_grammar(), anbn_oracle, ["ab", "aabb", "abab", "aab", "ba"]),
@@ -49,9 +47,10 @@ SUITES = [
 def main() -> None:
     for name, grammar, oracle, samples in SUITES:
         print(f"== {name}  ({grammar.k} constraints, {grammar.n_roles} roles) ==")
+        session = ParserSession(grammar, engine="vector")
         for text in samples:
             words = list(text)
-            verdict = accepts(ENGINE.parse(grammar, words).network)
+            verdict = accepts(session.parse(words).network)
             expected = oracle(words)
             assert verdict == expected, (name, text)
             print(f"  {text:<10} {'ACCEPT' if verdict else 'reject'}")
@@ -59,7 +58,7 @@ def main() -> None:
 
     # Show the three simultaneous matchings of the q=3 grammar.
     grammar = abcd_grammar()
-    network = ENGINE.parse(grammar, list("aabbccdd")).network
+    network = ParserSession(grammar, engine="vector").parse(list("aabbccdd")).network
     parse = extract_parses(network)[0]
     print("matchings recovered for 'aabbccdd':")
     for (pos, role), value in parse.assignment:

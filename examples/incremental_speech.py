@@ -25,7 +25,7 @@ Run:  python examples/incremental_speech.py
 
 from __future__ import annotations
 
-from repro import Constraint, VectorEngine, count_parses, extract_parses
+from repro import Constraint, ParserSession, count_parses, extract_parses
 from repro.grammar.builtin.english import english_grammar
 from repro.propagation import apply_constraints
 
@@ -45,10 +45,9 @@ def stage(title: str, network) -> None:
 
 def main() -> None:
     grammar = english_grammar()
-    engine = VectorEngine()
 
     # Stage 1: core grammar constraints only.
-    network = engine.parse(grammar, UTTERANCE).network
+    network = ParserSession(grammar, engine="vector").parse(UTTERANCE).network
     print(f"Utterance: {UTTERANCE!r}\n")
     stage("after core constraints", network)
 

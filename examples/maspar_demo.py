@@ -17,15 +17,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import ParserSession
 from repro.grammar.builtin import program_grammar
 from repro.maspar import MP1
 from repro.network import ConstraintNetwork
-from repro.parsec import (
-    MasParEngine,
-    build_layout,
-    step_function_seconds,
-    virtualization_units,
-)
+from repro.parsec import build_layout, step_function_seconds, virtualization_units
 from repro.workloads import toy_sentence
 
 
@@ -69,11 +65,10 @@ def show_scan_primitives() -> None:
 
 def show_step_function() -> None:
     print("\n== Section 3: the parse-time step function ==")
-    engine = MasParEngine()
-    grammar = program_grammar()
+    session = ParserSession(program_grammar(), engine="maspar")
     print(f"{'n':>3} {'virtual PEs':>12} {'units':>6} {'simulated':>10} {'paper model':>12}")
     for n in range(2, 13):
-        result = engine.parse(grammar, toy_sentence(n))
+        result = session.parse(toy_sentence(n))
         print(
             f"{n:>3} {result.stats.processors:>12,} {virtualization_units(n):>6} "
             f"{result.stats.simulated_seconds:>9.3f}s {step_function_seconds(n):>11.2f}s"

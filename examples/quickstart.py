@@ -11,7 +11,7 @@ Run:  python examples/quickstart.py
 
 from __future__ import annotations
 
-from repro import MasParEngine, SerialEngine, extract_parses
+from repro import ParserSession, extract_parses
 from repro.grammar.builtin import program_grammar
 
 
@@ -21,9 +21,7 @@ def main() -> None:
 
     # -- watch the network evolve (paper Figures 1-6) --------------------
     states: list[tuple[str, str]] = []
-    engine = SerialEngine()
-    result = engine.parse(
-        grammar,
+    result = ParserSession(grammar, engine="serial").parse(
         "The program runs",
         trace=lambda event, net: states.append((event, net.describe())),
     )
@@ -43,7 +41,7 @@ def main() -> None:
         print(parse.describe(grammar.symbols))
 
     # -- and on the simulated MasPar MP-1 (section 3) ---------------------
-    maspar = MasParEngine().parse(grammar, "The program runs")
+    maspar = ParserSession(grammar, engine="maspar").parse("The program runs")
     stats = maspar.stats
     print(
         f"\nSimulated MasPar MP-1: {stats.processors} virtual PEs "

@@ -10,7 +10,7 @@ Three members, deliberately not imported eagerly where they are heavy:
 """
 
 from repro.analysis.fitting import PowerLawFit, fit_log_growth, fit_power_law
-from repro.analysis.host import host_metadata, scaling_claim_allowed, scaling_note
+from repro.analysis.host import host_metadata, scaling_claim_allowed
 from repro.analysis.profiler import ConstraintRecord, ParseProfile, profile_parse
 from repro.analysis.reporting import format_seconds, format_table
 
@@ -25,5 +25,4 @@ __all__ = [
     "profile_parse",
     "host_metadata",
     "scaling_claim_allowed",
-    "scaling_note",
 ]

@@ -4,9 +4,8 @@ Every benchmark writer embeds :func:`host_metadata` in its JSON record,
 and every scaling claim is gated on it: a "2x with 2 shards" line from
 a single-core container is dispatch overhead arithmetic, not a scaling
 measurement.  :func:`scaling_claim_allowed` centralizes that gate so
-the parallel bench, the cluster harness, and CI all apply the same
-rule — *annotate* what was measured on a small host, *claim* only what
-the cores could actually exhibit.
+every record applies the same rule — *annotate* what was measured on a
+small host, *claim* only what the cores could actually exhibit.
 """
 
 from __future__ import annotations
@@ -31,23 +30,11 @@ def host_metadata() -> dict:
     }
 
 
-def scaling_claim_allowed(parallelism: int, *, cpus: "int | None" = None) -> bool:
+def scaling_claim_allowed(parallelism: int) -> bool:
     """May a record claim "Nx scaling" at this *parallelism* on this host?
 
     True only when the host has at least as many cores as concurrent
     workers — fewer cores means the workers time-share and the measured
     ratio reflects scheduling, not parallel speedup.
     """
-    available = (os.cpu_count() or 1) if cpus is None else cpus
-    return parallelism <= available
-
-
-def scaling_note(parallelism: int, *, cpus: "int | None" = None) -> "str | None":
-    """The annotation a record carries when the claim gate fails (else None)."""
-    available = (os.cpu_count() or 1) if cpus is None else cpus
-    if scaling_claim_allowed(parallelism, cpus=available):
-        return None
-    return (
-        f"host has {available} CPU(s) for {parallelism} workers: ratios measure "
-        "scheduling and dispatch overhead, not parallel scaling"
-    )
+    return parallelism <= (os.cpu_count() or 1)

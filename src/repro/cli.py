@@ -20,19 +20,23 @@ Commands:
     running verdict and domain sizes after every token.
 ``cluster``
     The networked sharded parse cluster: ``cluster shard`` runs one
-    shard server (the launcher's entry point), ``cluster up`` spawns a
-    local fleet, and ``cluster bench`` runs the bit-identity-gated
-    load benchmark and writes ``BENCH_cluster.json``.
+    shard server (the launcher's entry point) and ``cluster up`` spawns
+    a local fleet.  The cluster's timing lives in the end-to-end
+    benchmark's ``cluster-open`` workload, its bit-identity in
+    ``tests/test_cluster.py``.
 
 ``--engine`` values are validated against the live registry (not a
 frozen argparse choice list), so engines registered at runtime work and
-an unknown name reports the registered ones.  Every command runs the
-one packed kernel core (:mod:`repro.kernels.backend`).
+an unknown name reports the registered ones.  Counts and durations are
+validated by argparse: a worker count, shape count or batch size below
+1, or a negative linger, is a usage error (exit 2).  Every command runs
+the one packed kernel core (:mod:`repro.kernels.backend`).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from typing import Callable, Sequence
@@ -72,6 +76,28 @@ def _resolve_grammar(name: str) -> CDGGrammar:
     raise ReproError(
         f"unknown grammar {name!r}; use one of {sorted(BUILTIN_GRAMMARS)} or a .cdg file"
     )
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for counts: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _non_negative_float(text: str) -> float:
+    """argparse type for durations: a finite number of at least 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not 0 <= value < math.inf:  # also false for nan
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
+    return value
 
 
 def _cmd_parse(args: argparse.Namespace, out) -> int:
@@ -411,24 +437,6 @@ def _cmd_cluster_up(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _cmd_cluster_bench(args: argparse.Namespace, out) -> int:
-    from repro.cluster.bench import print_report, run_bench
-
-    record = run_bench(
-        grammar=args.grammar,
-        engine=args.engine,
-        shards=args.shards,
-        workers=args.workers,
-        workers_mode=args.workers_mode,
-        quick=args.quick,
-        concurrency=args.concurrency,
-        out_path=args.out,
-    )
-    print_report(record, out)
-    print(f"record written to {args.out}", file=out)
-    return 0 if record["bit_identity"]["ok"] else 1
-
-
 def _cmd_explain(args: argparse.Namespace, out) -> int:
     from repro.debugging import TraceRecorder
 
@@ -496,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="grammar whose lexicon covers the workload generator "
                               "(english / english-extended)")
     p_serve.add_argument("--engine", "-e", default="vector", help=engine_help)
-    p_serve.add_argument("--workers", "-w", type=int, default=2)
+    p_serve.add_argument("--workers", "-w", type=_positive_int, default=2)
     p_serve.add_argument("--workers-mode", choices=("thread", "process"),
                          default="thread",
                          help="thread workers (GIL-shared) or process workers "
@@ -506,14 +514,14 @@ def build_parser() -> argparse.ArgumentParser:
                          help="multiprocessing start method for --workers-mode=process "
                               "(default: fork where available)")
     p_serve.add_argument("--requests", "-n", type=int, default=64)
-    p_serve.add_argument("--shapes", type=int, default=4,
+    p_serve.add_argument("--shapes", type=_positive_int, default=4,
                          help="distinct sentence shapes interleaved in the load")
-    p_serve.add_argument("--batch-size", type=int, default=16,
+    p_serve.add_argument("--batch-size", type=_positive_int, default=16,
                          help="dynamic batcher flush size")
     p_serve.add_argument("--streaming", action="store_true",
                          help="drive word-at-a-time streams (one per --shapes) "
                               "instead of whole-sentence requests")
-    p_serve.add_argument("--linger-ms", type=float, default=2.0,
+    p_serve.add_argument("--linger-ms", type=_non_negative_float, default=2.0,
                          help="dynamic batcher max linger (milliseconds)")
     p_serve.set_defaults(func=_cmd_serve_bench)
 
@@ -533,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cluster = sub.add_parser(
         "cluster",
-        help="networked sharded parse cluster (shard / up / bench)",
+        help="networked sharded parse cluster (shard / up)",
         description="Run the repro.cluster subsystem: a consistent-hash "
         "router fanning parse and stream requests across shard servers, "
         "each fronting its own ParseService on a localhost socket.",
@@ -549,10 +557,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_shard.add_argument("--port", type=int, default=0,
                          help="TCP port; 0 asks the OS (announced via --port-file)")
     p_shard.add_argument("--shard-id", type=int, default=0)
-    p_shard.add_argument("--workers", "-w", type=int, default=1)
+    p_shard.add_argument("--workers", "-w", type=_positive_int, default=1)
     p_shard.add_argument("--workers-mode", choices=("thread", "process"), default="thread")
-    p_shard.add_argument("--max-batch-size", type=int, default=16)
-    p_shard.add_argument("--max-linger", type=float, default=0.002,
+    p_shard.add_argument("--max-batch-size", type=_positive_int, default=16)
+    p_shard.add_argument("--max-linger", type=_non_negative_float, default=0.002,
                          help="dynamic batcher max linger (seconds)")
     p_shard.add_argument("--log", default=None, help="structured shard log path")
     p_shard.add_argument("--port-file", default=None,
@@ -565,30 +573,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_up.add_argument("--grammar", "-g", default="english")
     p_up.add_argument("--engine", "-e", default="vector", help=engine_help)
     p_up.add_argument("--shards", type=int, default=2)
-    p_up.add_argument("--workers", "-w", type=int, default=1,
+    p_up.add_argument("--workers", "-w", type=_positive_int, default=1,
                       help="service workers per shard")
     p_up.add_argument("--workers-mode", choices=("thread", "process"), default="thread")
     p_up.add_argument("--run-dir", default=None,
                       help="directory for port files and shard logs")
     p_up.set_defaults(func=_cmd_cluster_up)
-
-    p_cbench = cluster_sub.add_parser(
-        "bench",
-        help="cluster load benchmark: bit-identity gate, closed+open loop, "
-        "log-derived latency percentiles",
-    )
-    p_cbench.add_argument("--grammar", "-g", default="english")
-    p_cbench.add_argument("--engine", "-e", default="vector", help=engine_help)
-    p_cbench.add_argument("--shards", type=int, default=2)
-    p_cbench.add_argument("--workers", "-w", type=int, default=1)
-    p_cbench.add_argument("--workers-mode", choices=("thread", "process"), default="thread")
-    p_cbench.add_argument("--concurrency", type=int, default=4,
-                          help="closed-loop concurrent callers")
-    p_cbench.add_argument("--quick", action="store_true",
-                          help="small corpus and short loops (CI smoke)")
-    p_cbench.add_argument("--out", default="BENCH_cluster.json",
-                          help="where to write the JSON record")
-    p_cbench.set_defaults(func=_cmd_cluster_bench)
 
     p_explain = sub.add_parser(
         "explain", help="trace a parse and show what each constraint eliminated"

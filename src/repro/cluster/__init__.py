@@ -9,13 +9,10 @@ plane is per-shard), speaks a length-prefixed binary wire protocol
 with per-request deadline budgets, and rebinds the packed verdict bits
 it gets back into full results that are bit-identical to an in-process
 parse.  A :class:`ClusterLauncher` runs shards as subprocesses with a
-start/drain/shutdown lifecycle, and the load/bench harness
-(:mod:`~repro.cluster.loadgen`, :mod:`~repro.cluster.logs`,
-:mod:`~repro.cluster.bench`) derives its published numbers from merged
-per-shard logs, with scaling claims gated on the host's actual cores.
+start/drain/shutdown lifecycle, and :class:`ClusterLogParser` merges
+the per-shard logs into one throughput and latency summary.
 """
 
-from repro.cluster.bench import run_bench
 from repro.cluster.errors import (
     ClusterError,
     ConnectionClosed,
@@ -24,7 +21,6 @@ from repro.cluster.errors import (
     WireError,
 )
 from repro.cluster.launcher import ClusterLauncher
-from repro.cluster.loadgen import LoadReport, closed_loop, open_loop, seeded_corpus
 from repro.cluster.logs import ClusterLogParser
 from repro.cluster.ring import HashRing, hash_key
 from repro.cluster.router import ClusterClient, ClusterStream, ShardRouter
@@ -43,10 +39,5 @@ __all__ = [
     "ClusterClient",
     "ClusterStream",
     "ClusterLauncher",
-    "LoadReport",
-    "closed_loop",
-    "open_loop",
-    "seeded_corpus",
     "ClusterLogParser",
-    "run_bench",
 ]

@@ -1,19 +1,19 @@
-"""The log-driven benchmark harness: shard logs in, honest numbers out.
+"""Shard logs in, one merged summary out.
 
-Follows the BFT-MVBA ``LogParser`` discipline: the benchmark record is
-derived from what the *nodes* logged, not from what the load generator
-believes it did.  Each shard writes timestamped structured lines
-(:class:`~repro.cluster.server.ShardLog`); this module parses every
-shard's log in a worker pool, pairs each request's ``recv`` with its
-``done``/``reject`` by ``(shard, conn, id)``, merges the per-node
+Follows the BFT-MVBA ``LogParser`` discipline: a cluster's own timing
+is derived from what the *nodes* logged, not from what a load
+generator believes it did.  Each shard writes timestamped structured
+lines (:class:`~repro.cluster.server.ShardLog`); this module parses
+every shard's log in a worker pool, pairs each request's ``recv`` with
+its ``done``/``reject`` by ``(shard, conn, id)``, merges the per-node
 timelines keeping the *earliest* timestamp per key (a retried or
 duplicated line never shrinks a latency), and summarizes throughput
 and latency percentiles over the merged window.
 
-Client-observed latency (:mod:`repro.cluster.loadgen`) includes the
-wire and the router; shard-log latency starts at frame receipt.  The
-gap between the two *is* the wire cost — recording both makes it
-visible instead of silently attributed.
+The end-to-end benchmark's ``cluster-open`` workload reads its shard
+residence percentiles through :class:`ClusterLogParser`.  Latency seen
+by a client includes the wire and the router; shard-log latency starts
+at frame receipt, so the gap between the two *is* the wire cost.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from datetime import datetime
 from pathlib import Path
 
 from repro.cluster.errors import ClusterError
-from repro.cluster.loadgen import _percentile
 
 _READY = re.compile(r"^\S+ shard=(?P<shard>\d+) event=ready\b")
 _RECV = re.compile(
@@ -40,6 +39,14 @@ _REJECT = re.compile(
     r"^(?P<ts>\S+) shard=(?P<shard>\d+) event=reject conn=(?P<conn>\d+)"
     r"(?: id=(?P<id>\d+))? kind=(?P<kind>\S+)"
 )
+
+
+def _percentile(sorted_values: "list[float]", q: float) -> float:
+    """Nearest-rank percentile of an already-sorted sample (q in [0, 100])."""
+    if not sorted_values:
+        return 0.0
+    rank = max(0, min(len(sorted_values) - 1, round(q / 100.0 * (len(sorted_values) - 1))))
+    return sorted_values[rank]
 
 
 def _ts(raw: str) -> float:

@@ -21,9 +21,9 @@ poison the wire).
 Every shard writes timestamped structured logs (``event=recv`` /
 ``event=done`` / ``event=reject`` lines keyed by connection and request
 id) that :mod:`repro.cluster.logs` parses into merged throughput and
-latency numbers — the BFT-MVBA ``LogParser`` pattern, where the bench
-record is derived from what the nodes actually logged rather than what
-the load generator hoped.
+latency numbers — the BFT-MVBA ``LogParser`` pattern, where timing is
+derived from what the nodes actually logged rather than what a load
+generator hoped.
 """
 
 from __future__ import annotations

@@ -1,25 +1,26 @@
 """Common interface implemented by all four parser engines.
 
 The engines (serial, vector, PRAM, MasPar/PARSEC) share one contract:
-given a grammar and a sentence they run the CDG algorithm —
+given a constraint network bound for one sentence, :meth:`ParserEngine.run`
+settles it in place with the CDG algorithm —
 
     unary propagation -> binary propagation -> consistency maintenance
     -> filtering
 
-— and return a :class:`ParseResult` wrapping the settled constraint
-network plus instrumentation.  All engines must settle on the *same*
-network (the greatest locally-consistent subnetwork); the cross-engine
+— and returns the :class:`EngineStats` it recorded.  Parsing goes
+through :class:`~repro.pipeline.session.ParserSession`, which binds the
+network, runs the engine and wraps the settled network in a
+:class:`ParseResult`.  All engines must settle on the *same* network
+(the greatest locally-consistent subnetwork); the cross-engine
 equivalence tests rely on this.
 """
 
 from __future__ import annotations
 
 import abc
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
-from repro.grammar.grammar import CDGGrammar, Sentence
 from repro.network.network import ConstraintNetwork
 
 if TYPE_CHECKING:  # pragma: no cover - types only
@@ -100,32 +101,3 @@ class ParserEngine(abc.ABC):
                 ``network.grammar`` (cached per grammar object) when
                 omitted.
         """
-
-    def parse(
-        self,
-        grammar: CDGGrammar,
-        sentence: Sentence | str | list[str],
-        *,
-        filter_limit: int | None = None,
-        trace: TraceHook | None = None,
-    ) -> ParseResult:
-        """Build the CN for *sentence* and run this engine over it.
-
-        .. deprecated:: 1.1
-            Thin wrapper over the session path, kept so existing
-            callers and benchmarks run unmodified.  It builds a
-            throwaway :class:`~repro.pipeline.session.ParserSession`
-            per call, so nothing amortizes; batch callers should hold a
-            session and use ``parse`` / ``parse_many`` on it.
-        """
-        warnings.warn(
-            "ParserEngine.parse is deprecated since 1.1: it builds a throwaway "
-            "ParserSession per call, so nothing amortizes; hold a "
-            "repro.ParserSession and use its parse/parse_many instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.pipeline.session import ParserSession
-
-        session = ParserSession(grammar, engine=self, template_cache_size=1)
-        return session.parse(sentence, filter_limit=filter_limit, trace=trace)

@@ -7,10 +7,10 @@ engine instance — and exposes ``parse`` / ``parse_many``.  This is the
 paper's serving shape: the constraint program is fixed, sentences
 stream through.
 
-The naive path (:meth:`repro.engines.base.ParserEngine.parse`) remains
-as a thin wrapper that builds a throwaway session per call, so one-shot
-callers keep working while batch callers get the amortization::
+It is the one way to parse.  A one-shot caller builds a session for
+the call; a batch caller holds one and gets the amortization::
 
+    result = ParserSession(grammar, engine="serial").parse("the dog runs")
     session = ParserSession(english_grammar(), engine="vector")
     results = session.parse_many(["the dog runs", "dogs bark"])
 

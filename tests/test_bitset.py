@@ -18,7 +18,7 @@ import random
 import numpy as np
 import pytest
 
-from repro import ConstraintNetwork, SerialEngine, VectorEngine
+from repro import ConstraintNetwork, ParserSession
 from repro.grammar.builtin import english_grammar, program_grammar
 from repro.kernels import bitops
 from repro.network import bitset
@@ -195,8 +195,6 @@ class TestEngineBitIdentity:
     SEEDS = range(40)
 
     def test_packed_vector_matches_serial_oracle(self):
-        serial = SerialEngine()
-        vector = VectorEngine()
         # A trace hook selects the per-constraint schedule, which replays
         # the oracle's trajectory, so even the mutation *counts* must
         # match; the untraced (fused) schedule takes a different route to
@@ -212,10 +210,9 @@ class TestEngineBitIdentity:
             rng = random.Random(seed)
             grammar = random_grammar(rng)
             sentence = random_sentence_for(grammar, rng, max_len=4)
-            with pytest.warns(DeprecationWarning):
-                oracle = serial.parse(grammar, sentence)
-                packed = vector.parse(grammar, sentence, trace=record)
-                fast = vector.parse(grammar, sentence)
+            oracle = ParserSession(grammar, engine="serial").parse(sentence)
+            packed = ParserSession(grammar, engine="vector").parse(sentence, trace=record)
+            fast = ParserSession(grammar, engine="vector").parse(sentence)
             if packed.network.nv % 64 != 0:
                 odd_widths += 1
             assert packed.network.packed_active
@@ -249,17 +246,15 @@ class TestEngineBitIdentity:
     def test_english_grammar_end_to_end(self):
         grammar = english_grammar()
         words = ["the", "old", "dog", "sees", "the", "cat"]
-        with pytest.warns(DeprecationWarning):
-            oracle = SerialEngine().parse(grammar, words)
-            packed = VectorEngine().parse(grammar, words)
+        oracle = ParserSession(grammar, engine="serial").parse(words)
+        packed = ParserSession(grammar, engine="vector").parse(words)
         np.testing.assert_array_equal(packed.network.alive, oracle.network.alive)
         np.testing.assert_array_equal(packed.network.matrix, oracle.network.matrix)
         assert packed.locally_consistent and oracle.locally_consistent
 
     def test_program_grammar_acceptance(self):
         grammar = program_grammar()
-        with pytest.warns(DeprecationWarning):
-            oracle = SerialEngine().parse(grammar, ["The", "program", "runs"])
-            packed = VectorEngine().parse(grammar, ["The", "program", "runs"])
+        oracle = ParserSession(grammar, engine="serial").parse(["The", "program", "runs"])
+        packed = ParserSession(grammar, engine="vector").parse(["The", "program", "runs"])
         assert packed.locally_consistent == oracle.locally_consistent
         np.testing.assert_array_equal(packed.network.alive, oracle.network.alive)

@@ -145,6 +145,32 @@ class TestVersionAndEngineValidation:
             registry._REGISTRY.pop("cli-test-engine", None)
 
 
+class TestArgumentValidation:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve-bench", "--shapes", "0"],
+            ["serve-bench", "-w", "0"],
+            ["serve-bench", "--batch-size", "0"],
+            ["serve-bench", "--linger-ms", "-1"],
+            ["serve-bench", "--linger-ms", "nan"],
+            ["cluster", "shard", "--workers", "0"],
+            ["cluster", "shard", "--max-batch-size", "0"],
+            ["cluster", "shard", "--max-linger", "-0.5"],
+            ["cluster", "up", "--workers", "0"],
+            ["cluster", "up", "--workers", "two"],
+            ["cluster", "bench"],  # retired: the e2e cluster-open workload times the cluster
+        ],
+        ids=lambda argv: "_".join(argv),
+    )
+    def test_usage_error(self, argv, capsys):
+        """Refused by argparse before any service, shard or fleet starts."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+
 class TestServeBench:
     def test_serve_bench_prints_metrics_snapshot(self):
         code, text = run_cli(

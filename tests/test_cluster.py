@@ -17,7 +17,7 @@ The load-bearing invariants:
 * deadlines count once: the budget is measured at frame-write time, an
   already-spent budget fails locally, and ``drain``/``close(wait=True)``
   never orphan an in-flight verdict;
-* the bench numbers come from the merged shard logs, parsed with
+* shard-log summaries merge every shard's log with
   earliest-timestamp-wins semantics.
 """
 
@@ -28,7 +28,6 @@ import signal
 import socket
 import struct
 import time
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -41,8 +40,7 @@ from repro.cluster.errors import (
     WireError,
 )
 from repro.cluster.launcher import ClusterLauncher
-from repro.cluster.loadgen import LoadReport, _percentile, closed_loop, open_loop, seeded_corpus
-from repro.cluster.logs import ClusterLogParser, MergedTimeline, parse_log_text
+from repro.cluster.logs import ClusterLogParser, MergedTimeline, _percentile, parse_log_text
 from repro.cluster.ring import HashRing, hash_key
 from repro.cluster.router import ClusterClient, ShardRouter
 from repro.cluster.server import ParseServer
@@ -59,10 +57,14 @@ from repro.errors import LexiconError, StreamError
 from repro.grammar.builtin import english_grammar
 from repro.pipeline.session import ParserSession
 from repro.serve import DeadlineExceeded, ServiceUnavailable
-from repro.workloads import sentence_of_length
+from repro.workloads import corpus, sentence_of_length
 from tests.test_pipeline import DETERMINISTIC_STATS, assert_same_network
 
 WAIT = 30.0  # generous upper bound for every blocking wait in this file
+
+#: Random sentences plus a length sweep: enough distinct shapes that
+#: consistent hashing spreads them over both shards.
+CORPUS = corpus(seed=3, size=11) + [sentence_of_length(n) for n in range(4, 9)]
 
 
 # -- the codec ---------------------------------------------------------------
@@ -453,16 +455,15 @@ def assert_bit_identical(ours, theirs):
 class TestClusterE2E:
     def test_parse_many_is_bit_identical_and_in_order(self, cluster):
         grammar, _, client = cluster
-        sentences = seeded_corpus(seed=3, size=16)
-        reference = ParserSession(grammar, engine="vector").parse_many(sentences)
-        clustered = client.parse_many(sentences, timeout=WAIT)
+        reference = ParserSession(grammar, engine="vector").parse_many(CORPUS)
+        clustered = client.parse_many(CORPUS, timeout=WAIT)
         assert len(clustered) == len(reference)
         for ours, theirs in zip(clustered, reference):
             assert_bit_identical(ours, theirs)
 
     def test_corpus_actually_spans_both_shards(self, cluster):
         grammar, _, client = cluster
-        sentences = [grammar.tokenize(words) for words in seeded_corpus(seed=3, size=16)]
+        sentences = [grammar.tokenize(words) for words in CORPUS]
         spread = client.router.spread(sentences)
         assert len(spread) == 2
         assert all(count > 0 for count in spread.values())
@@ -555,7 +556,8 @@ class TestShardRouterUnit:
 class TestLauncherEndToEnd:
     def test_subprocess_cluster_parses_and_logs(self, tmp_path):
         grammar = english_grammar()
-        sentences = seeded_corpus(seed=1, size=6)
+        sentences = corpus(seed=1, size=4) + [sentence_of_length(4), sentence_of_length(5)]
+        longest = max(sentences, key=len)
         reference = ParserSession(grammar, engine="vector").parse_many(sentences)
         with ClusterLauncher("english", shards=2, run_dir=tmp_path) as launcher:
             assert launcher.alive() == [True, True]
@@ -563,9 +565,17 @@ class TestLauncherEndToEnd:
                 clustered = client.parse_many(sentences, timeout=WAIT)
                 for ours, theirs in zip(clustered, reference):
                     assert_bit_identical(ours, theirs)
+                # A stream pins to one shard process; every prefix must
+                # match the in-process incremental parse.
+                local = ParserSession(grammar).stream()
+                with client.submit_stream() as stream:
+                    for word in longest:
+                        ours = stream.feed(word, timeout=WAIT).result(WAIT)
+                        assert_bit_identical(ours, local.extend(word))
+                    assert stream.words == tuple(longest)
         # Shards have exited: logs are complete, flushed, and parseable.
         summary = ClusterLogParser.from_directory(tmp_path, pool=False).summary()
-        assert summary["completed"] >= len(sentences)
+        assert summary["completed"] >= len(sentences) + len(longest)
         assert summary["shards"] == [0, 1]
         assert launcher.alive() == []
 
@@ -606,68 +616,7 @@ class TestLauncherEndToEnd:
             ClusterLauncher("english", shards=0)
 
 
-# -- the load generator and the log harness ----------------------------------
-
-
-class _FakeClient:
-    """Resolves every submit immediately (loadgen accounting tests)."""
-
-    def __init__(self, fail_every: int = 0):
-        self.calls = 0
-        self.fail_every = fail_every
-
-    def submit(self, sentence, *, timeout=None) -> Future:
-        self.calls += 1
-        future: Future = Future()
-        if self.fail_every and self.calls % self.fail_every == 0:
-            future.set_exception(DeadlineExceeded("synthetic"))
-        else:
-            future.set_result(object())
-        return future
-
-
-class TestLoadgen:
-    def test_seeded_corpus_is_deterministic_and_multi_shape(self):
-        first, second = seeded_corpus(seed=5, size=12), seeded_corpus(seed=5, size=12)
-        assert first == second
-        assert len(first) == 12
-        assert len({len(words) for words in first}) > 1
-
-    def test_percentile_is_nearest_rank(self):
-        values = [float(v) for v in range(101)]
-        assert _percentile(values, 50) == 50.0
-        assert _percentile(values, 99) == 99.0
-        assert _percentile(values, 100) == 100.0
-        assert _percentile([], 50) == 0.0
-
-    def test_closed_loop_accounts_for_every_request(self):
-        client = _FakeClient(fail_every=4)
-        report = closed_loop(client, [["a"]], requests=16, concurrency=3)
-        assert report.completed + report.failed == 16
-        assert report.failed == 4
-        assert report.errors == {"DeadlineExceeded": 4}
-        assert len(report.latencies_ms) == report.completed
-
-    def test_open_loop_offers_the_configured_rate(self):
-        client = _FakeClient()
-        report = open_loop(client, [["a"]], rate=200.0, duration=0.2)
-        assert report.mode == "open"
-        assert report.offered_rate == 200.0
-        # ~40 scheduled sends; allow generous scheduling slop.
-        assert 20 <= report.requests <= 60
-        assert report.completed == report.requests
-
-    def test_open_loop_rejects_nonpositive_rate(self):
-        with pytest.raises(ValueError):
-            open_loop(_FakeClient(), [["a"]], rate=0.0)
-
-    def test_report_record_shape(self):
-        report = LoadReport(mode="closed", requests=2, completed=2,
-                            elapsed_seconds=1.0, latencies_ms=[1.0, 3.0])
-        record = report.to_record()
-        assert record["throughput_rps"] == 2.0
-        assert record["p50_ms"] == 1.0 and record["p95_ms"] == 3.0
-        assert "offered_rate_rps" not in record
+# -- the log harness ---------------------------------------------------------
 
 
 def _log_line(ts: str, shard: int, event: str, rest: str) -> str:
@@ -675,6 +624,13 @@ def _log_line(ts: str, shard: int, event: str, rest: str) -> str:
 
 
 class TestLogHarness:
+    def test_percentile_is_nearest_rank(self):
+        values = [float(v) for v in range(101)]
+        assert _percentile(values, 50) == 50.0
+        assert _percentile(values, 99) == 99.0
+        assert _percentile(values, 100) == 100.0
+        assert _percentile([], 50) == 0.0
+
     def test_recv_done_pairing_and_latency(self):
         text = "\n".join([
             _log_line("2026-08-08T10:00:00+00:00", 0, "recv", "conn=1 id=1 kind=parse n=3"),

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro import SerialEngine, VectorEngine, extract_parses
+from repro import ParserSession, extract_parses
 from repro.debugging import TraceRecorder
-from repro.grammar.builtin import english_grammar, program_grammar
+from repro.grammar.builtin import english_grammar
 from repro.search import to_conll
 
 
@@ -14,7 +14,7 @@ class TestTraceRecorder:
     @pytest.fixture
     def recorder(self, toy_grammar):
         recorder = TraceRecorder()
-        VectorEngine().parse(toy_grammar, "The program runs", trace=recorder)
+        ParserSession(toy_grammar, engine="vector").parse("The program runs", trace=recorder)
         return recorder
 
     def test_records_every_phase(self, recorder):
@@ -58,13 +58,13 @@ class TestTraceRecorder:
 
     def test_works_with_serial_engine(self, toy_grammar):
         recorder = TraceRecorder()
-        SerialEngine().parse(toy_grammar, "The program runs", trace=recorder)
+        ParserSession(toy_grammar, engine="serial").parse("The program runs", trace=recorder)
         assert recorder.step("filtering-done").alive == 6
 
 
 class TestConll:
     def test_toy_sentence(self, toy_grammar):
-        result = VectorEngine().parse(toy_grammar, "The program runs")
+        result = ParserSession(toy_grammar, engine="vector").parse("The program runs")
         parse = extract_parses(result.network)[0]
         text = to_conll(parse, toy_grammar.symbols)
         lines = text.splitlines()
@@ -75,7 +75,7 @@ class TestConll:
 
     def test_english_root_is_zero(self):
         grammar = english_grammar()
-        result = VectorEngine().parse(grammar, "the dog sees the cat")
+        result = ParserSession(grammar, engine="vector").parse("the dog sees the cat")
         parse = extract_parses(result.network)[0]
         rows = [line.split("\t") for line in to_conll(parse, grammar.symbols).splitlines()]
         roots = [row for row in rows if row[3] == "0"]
@@ -83,7 +83,7 @@ class TestConll:
         assert roots[0][1] == "sees"
 
     def test_head_column_is_consistent_with_heads(self, toy_grammar):
-        result = VectorEngine().parse(toy_grammar, "The program runs")
+        result = ParserSession(toy_grammar, engine="vector").parse("The program runs")
         parse = extract_parses(result.network)[0]
         rows = [line.split("\t") for line in to_conll(parse, toy_grammar.symbols).splitlines()]
         heads = parse.heads(0)

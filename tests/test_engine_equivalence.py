@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import MasParEngine, MeshEngine, PRAMEngine, SerialEngine, VectorEngine
+from repro import MasParEngine, MeshEngine, ParserSession, PRAMEngine, SerialEngine, VectorEngine
 from repro.grammar.builtin import program_grammar
 from repro.grammar.builtin.english import english_grammar
 from repro.workloads import random_sentence, scrambled_sentence
@@ -25,9 +25,9 @@ FAST_ENGINES = [SerialEngine(), VectorEngine(), MasParEngine(), MeshEngine()]
 
 
 def assert_same_outcome(grammar, sentence, engines):
-    reference = VectorEngine().parse(grammar, sentence)
+    reference = ParserSession(grammar, engine="vector").parse(sentence)
     for engine in engines:
-        result = engine.parse(grammar, sentence)
+        result = ParserSession(grammar, engine=engine).parse(sentence)
         np.testing.assert_array_equal(
             result.network.alive,
             reference.network.alive,
@@ -98,8 +98,10 @@ class TestFilterLimit:
     def test_bounded_filtering_is_a_prefix_of_full(self):
         """Design decision 5: limiting filtering only leaves extra values."""
         grammar = english_grammar()
-        full = VectorEngine().parse(grammar, "the dog sees the cat")
-        bounded = MasParEngine().parse(grammar, "the dog sees the cat", filter_limit=0)
+        full = ParserSession(grammar, engine="vector").parse("the dog sees the cat")
+        bounded = ParserSession(grammar, engine="maspar").parse(
+            "the dog sees the cat", filter_limit=0
+        )
         # Bounded filtering can only keep MORE alive values, never fewer.
         assert (full.network.alive <= bounded.network.alive).all()
 
@@ -107,7 +109,9 @@ class TestFilterLimit:
         events: dict[str, list[str]] = {}
         for engine in (SerialEngine(), VectorEngine(), MasParEngine()):
             seen: list[str] = []
-            engine.parse(program_grammar(), "The program runs", trace=lambda e, n: seen.append(e))
+            ParserSession(program_grammar(), engine=engine).parse(
+                "The program runs", trace=lambda e, n: seen.append(e)
+            )
             events[engine.name] = [e for e in seen if e != "built"]
         assert events["serial"] == events["vector"]
         # The maspar engine emits the same phase events.

@@ -6,10 +6,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import MasParEngine, SerialEngine, VectorEngine, accepts, extract_parses
+from repro import ParserSession, accepts, extract_parses
 from repro.grammar.builtin import english_extended_grammar
-
-ENGINE = VectorEngine()
 
 
 @pytest.fixture(scope="module")
@@ -18,7 +16,7 @@ def grammar():
 
 
 def parse(grammar, text):
-    return ENGINE.parse(grammar, text)
+    return ParserSession(grammar, engine="vector").parse(text)
 
 
 BASE_STILL_ACCEPTED = [
@@ -111,7 +109,7 @@ class TestStructures:
     def test_lattice_with_pronoun_confusion(self, grammar):
         """Recognizer confusion she/her resolved by syntactic case."""
         lattice = grammar.tokenize_lattice([["she", "her"], ["sees"], ["him", "he"]])
-        result = ENGINE.parse(grammar, lattice)
+        result = ParserSession(grammar, engine="vector").parse(lattice)
         parses = extract_parses(result.network, limit=None)
         assert len(parses) == 1
         npron = grammar.symbols.categories.code("npron")
@@ -126,7 +124,7 @@ class TestEngineAgreement:
     )
     def test_engines_settle_identically(self, grammar, text):
         reference = parse(grammar, text)
-        for engine in (SerialEngine(), MasParEngine()):
-            result = engine.parse(grammar, text)
+        for engine in ("serial", "maspar"):
+            result = ParserSession(grammar, engine=engine).parse(text)
             np.testing.assert_array_equal(result.network.alive, reference.network.alive)
             np.testing.assert_array_equal(result.network.matrix, reference.network.matrix)

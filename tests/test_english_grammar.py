@@ -8,11 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import VectorEngine, accepts, extract_parses
+from repro import ParserSession, accepts, extract_parses
 from repro.grammar.builtin.english import english_grammar
 from repro.workloads import random_sentence, sentence_of_length
-
-ENGINE = VectorEngine()
 
 
 @pytest.fixture(scope="module")
@@ -21,7 +19,7 @@ def grammar():
 
 
 def parse(grammar, text):
-    return ENGINE.parse(grammar, text)
+    return ParserSession(grammar, engine="vector").parse(text)
 
 
 ACCEPTED = [

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import VectorEngine, accepts, extract_parses
+from repro import ParserSession, accepts, extract_parses
 from repro.cfg import (
     anbn_cfg,
     cyk_accepts,
@@ -35,13 +35,11 @@ from repro.grammar.builtin import (
     dyck_oracle,
 )
 
-ENGINE = VectorEngine()
-
 letter_strings = st.lists(st.sampled_from(["a", "b"]), min_size=1, max_size=8)
 
 
 def cdg_accepts(grammar, words) -> bool:
-    return accepts(ENGINE.parse(grammar, list(words)).network)
+    return accepts(ParserSession(grammar, engine="vector").parse(list(words)).network)
 
 
 class TestAnBn:
@@ -80,7 +78,7 @@ class TestAnBn:
     def test_parses_are_the_two_bijections(self):
         """The grammar does not impose monotonicity (a^n b^n does not need
         it), so aabb has exactly the two a<->b matchings."""
-        result = ENGINE.parse(anbn_grammar(), ["a", "a", "b", "b"])
+        result = ParserSession(anbn_grammar(), engine="vector").parse(["a", "a", "b", "b"])
         parses = extract_parses(result.network, limit=None)
         matchings = {tuple(sorted(p.heads(0).items())) for p in parses}
         assert matchings == {
@@ -136,7 +134,7 @@ class TestCopyLanguage:
         assert not cyk_accepts(palindromes, list("abab"))
 
     def test_copy_parse_is_unique(self):
-        result = ENGINE.parse(copy_language_grammar(), list("abab"))
+        result = ParserSession(copy_language_grammar(), engine="vector").parse(list("abab"))
         parses = extract_parses(result.network, limit=None)
         assert len(parses) == 1
         heads = parses[0].heads(0)
@@ -173,7 +171,7 @@ class TestDyck:
         assert cdg == earley_accepts(typed_brackets_cfg(), words)
 
     def test_nesting_structure_recovered(self):
-        result = ENGINE.parse(dyck_grammar(), list("(())"))
+        result = ParserSession(dyck_grammar(), engine="vector").parse(list("(())"))
         parses = extract_parses(result.network, limit=None)
         assert len(parses) == 1
         heads = parses[0].heads(0)
@@ -182,7 +180,7 @@ class TestDyck:
     def test_crossing_parse_excluded(self):
         # "()()" could in principle match 1->4, 2<-3 (crossing); the
         # no-crossing constraint leaves only the sequential matching.
-        result = ENGINE.parse(dyck_grammar(), list("()()"))
+        result = ParserSession(dyck_grammar(), engine="vector").parse(list("()()"))
         parses = extract_parses(result.network, limit=None)
         assert len(parses) == 1
         heads = parses[0].heads(0)

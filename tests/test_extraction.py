@@ -12,8 +12,7 @@ import pytest
 from repro import (
     ConstraintNetwork,
     GrammarBuilder,
-    SerialEngine,
-    VectorEngine,
+    ParserSession,
     accepts,
     count_parses,
     extract_parses,
@@ -61,7 +60,7 @@ class TestEnumeration:
             extract_parses(net, limit=0)
 
     def test_assignments_are_pairwise_consistent(self, toy_grammar):
-        result = VectorEngine().parse(toy_grammar, "the program runs")
+        result = ParserSession(toy_grammar, engine="vector").parse("the program runs")
         net = result.network
         for indices in iter_assignments(net):
             for a in indices:
@@ -80,29 +79,29 @@ class TestEnumeration:
 
 class TestAcceptance:
     def test_toy_sentence_accepted(self, toy_grammar):
-        result = VectorEngine().parse(toy_grammar, "the program runs")
+        result = ParserSession(toy_grammar, engine="vector").parse("the program runs")
         assert accepts(result.network)
 
     def test_bad_sentence_rejected(self, toy_grammar):
         # "program the runs" violates the ordering constraints: the DET
         # needs a noun to its right, but the noun precedes it.
-        result = VectorEngine().parse(toy_grammar, "program the runs")
+        result = ParserSession(toy_grammar, engine="vector").parse("program the runs")
         assert not result.locally_consistent
         assert not accepts(result.network)
 
     def test_two_determiners_rejected(self, toy_grammar):
-        result = VectorEngine().parse(toy_grammar, "the the program runs")
+        result = ParserSession(toy_grammar, engine="vector").parse("the the program runs")
         assert not accepts(result.network)
 
     def test_verb_only_accepted(self, toy_grammar):
         # "runs" needs an S modifiee but there is no other word; the needs
         # role value S-x requires mod != nil, impossible for n=1.
-        result = VectorEngine().parse(toy_grammar, "runs")
+        result = ParserSession(toy_grammar, engine="vector").parse("runs")
         assert not result.locally_consistent
 
     def test_extraction_agrees_with_serial_engine(self, toy_grammar):
-        serial = SerialEngine().parse(toy_grammar, "the program runs")
-        vector = VectorEngine().parse(toy_grammar, "the program runs")
+        serial = ParserSession(toy_grammar, engine="serial").parse("the program runs")
+        vector = ParserSession(toy_grammar, engine="vector").parse("the program runs")
         p1 = [p.assignment for p in extract_parses(serial.network, limit=None)]
         p2 = [p.assignment for p in extract_parses(vector.network, limit=None)]
         assert sorted(p1) == sorted(p2)
@@ -110,20 +109,20 @@ class TestAcceptance:
 
 class TestPrecedenceGraph:
     def test_mapping_round_trip(self, toy_grammar):
-        result = VectorEngine().parse(toy_grammar, "the program runs")
+        result = ParserSession(toy_grammar, engine="vector").parse("the program runs")
         parse = extract_parses(result.network)[0]
         mapping = parse.mapping()
         assert parse.role_value(2, 0) is mapping[(2, 0)]
 
     def test_describe_mentions_all_words(self, toy_grammar):
-        result = VectorEngine().parse(toy_grammar, "the program runs")
+        result = ParserSession(toy_grammar, engine="vector").parse("the program runs")
         parse = extract_parses(result.network)[0]
         text = parse.describe(toy_grammar.symbols)
         for word in ("the", "program", "runs"):
             assert word in text
 
     def test_networkx_nodes_carry_words(self, toy_grammar):
-        result = VectorEngine().parse(toy_grammar, "the program runs")
+        result = ParserSession(toy_grammar, engine="vector").parse("the program runs")
         graph = extract_parses(result.network)[0].to_networkx(toy_grammar.symbols)
         assert graph.nodes[2]["word"] == "program"
         assert graph.number_of_nodes() == 3

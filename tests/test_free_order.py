@@ -6,10 +6,8 @@ import itertools
 
 import pytest
 
-from repro import VectorEngine, accepts, extract_parses
+from repro import ParserSession, accepts, extract_parses
 from repro.grammar.builtin.free_order import free_order_grammar
-
-ENGINE = VectorEngine()
 
 CLAUSE = ["puella", "amat", "agricolam"]  # girl-NOM loves farmer-ACC
 
@@ -22,14 +20,14 @@ def grammar():
 class TestAllOrdersParse:
     def test_every_permutation_accepted(self, grammar):
         for order in itertools.permutations(CLAUSE):
-            result = ENGINE.parse(grammar, list(order))
+            result = ParserSession(grammar, engine="vector").parse(list(order))
             assert accepts(result.network), order
 
     def test_every_permutation_yields_the_same_structure(self, grammar):
         """SVO, SOV, VSO, ... all mean girl-loves-farmer."""
         for order in itertools.permutations(CLAUSE):
             words = list(order)
-            result = ENGINE.parse(grammar, words)
+            result = ParserSession(grammar, engine="vector").parse(words)
             parses = extract_parses(result.network, limit=None)
             assert len(parses) == 1, order
             heads = parses[0].heads(0)
@@ -43,7 +41,8 @@ class TestAllOrdersParse:
     def test_intransitive_in_both_orders(self, grammar):
         # "verb needs a subject" but an object is optional.
         for words in (["stella", "videt"], ["videt", "stella"]):
-            assert accepts(ENGINE.parse(grammar, words).network), words
+            result = ParserSession(grammar, engine="vector").parse(words)
+            assert accepts(result.network), words
 
 
 class TestCaseStillGoverns:
@@ -59,13 +58,15 @@ class TestCaseStillGoverns:
         ],
     )
     def test_rejections_in_canonical_order(self, grammar, words):
-        assert not accepts(ENGINE.parse(grammar, words).network), words
+        result = ParserSession(grammar, engine="vector").parse(words)
+        assert not accepts(result.network), words
 
     def test_rejections_hold_in_every_order(self, grammar):
         """Bad case frames stay bad no matter how they are permuted."""
         for bad in (["puellam", "amat", "agricolam"], ["puella", "amat", "agricola"]):
             for order in itertools.permutations(bad):
-                assert not accepts(ENGINE.parse(grammar, list(order)).network), order
+                result = ParserSession(grammar, engine="vector").parse(list(order))
+                assert not accepts(result.network), order
 
     def test_no_constraint_mentions_word_order(self, grammar):
         """The grammar text itself contains no position comparisons."""

@@ -18,7 +18,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import MasParEngine, MeshEngine, SerialEngine, VectorEngine
+from repro import ParserSession
 from repro.grammar import dump_grammar, load_grammar
 from repro.search import extract_parses, iter_assignments
 from repro.workloads.random_grammars import random_grammar, random_sentence_for
@@ -30,13 +30,13 @@ def test_engines_agree_on_random_grammars(seed):
     rng = random.Random(seed)
     grammar = random_grammar(rng)
     sentence = random_sentence_for(grammar, rng, max_len=4)
-    reference = VectorEngine().parse(grammar, sentence)
-    for engine in (SerialEngine(), MasParEngine(), MeshEngine()):
-        result = engine.parse(grammar, sentence)
+    reference = ParserSession(grammar, engine="vector").parse(sentence)
+    for engine in ("serial", "maspar", "mesh"):
+        result = ParserSession(grammar, engine=engine).parse(sentence)
         np.testing.assert_array_equal(
             result.network.alive,
             reference.network.alive,
-            err_msg=f"{engine.name} differs: grammar seed {seed}, sentence {sentence}",
+            err_msg=f"{engine} differs: grammar seed {seed}, sentence {sentence}",
         )
         np.testing.assert_array_equal(result.network.matrix, reference.network.matrix)
 
@@ -44,13 +44,11 @@ def test_engines_agree_on_random_grammars(seed):
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 10**6))
 def test_pram_agrees_on_random_grammars(seed):
-    from repro import PRAMEngine
-
     rng = random.Random(seed)
     grammar = random_grammar(rng)
     sentence = random_sentence_for(grammar, rng, max_len=3)
-    reference = VectorEngine().parse(grammar, sentence)
-    result = PRAMEngine().parse(grammar, sentence)
+    reference = ParserSession(grammar, engine="vector").parse(sentence)
+    result = ParserSession(grammar, engine="pram").parse(sentence)
     np.testing.assert_array_equal(result.network.alive, reference.network.alive)
     np.testing.assert_array_equal(result.network.matrix, reference.network.matrix)
 
@@ -74,7 +72,7 @@ def test_extracted_assignments_are_consistent(seed):
     rng = random.Random(seed)
     grammar = random_grammar(rng)
     sentence = random_sentence_for(grammar, rng, max_len=4)
-    network = VectorEngine().parse(grammar, sentence).network
+    network = ParserSession(grammar, engine="vector").parse(sentence).network
     count = 0
     for indices in iter_assignments(network):
         for a in indices:
@@ -93,8 +91,8 @@ def test_bounded_filtering_overapproximates(seed):
     rng = random.Random(seed)
     grammar = random_grammar(rng)
     sentence = random_sentence_for(grammar, rng, max_len=4)
-    full = VectorEngine().parse(grammar, sentence)
-    bounded = VectorEngine().parse(grammar, sentence, filter_limit=0)
+    full = ParserSession(grammar, engine="vector").parse(sentence)
+    bounded = ParserSession(grammar, engine="vector").parse(sentence, filter_limit=0)
     assert (full.network.alive <= bounded.network.alive).all()
 
 
@@ -104,7 +102,7 @@ def test_acceptance_implies_nonempty_domains(seed):
     rng = random.Random(seed)
     grammar = random_grammar(rng)
     sentence = random_sentence_for(grammar, rng, max_len=4)
-    result = VectorEngine().parse(grammar, sentence)
+    result = ParserSession(grammar, engine="vector").parse(sentence)
     parses = extract_parses(result.network, limit=1)
     if parses:
         assert result.locally_consistent

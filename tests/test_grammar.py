@@ -126,10 +126,10 @@ class TestLoader:
         assert grammar.lexicon.category_names_of("bark") == {"verb", "noun"}
 
     def test_loaded_grammar_parses(self):
-        from repro import VectorEngine
+        from repro import ParserSession
 
         grammar = load_grammar(MINI_GRAMMAR)
-        result = VectorEngine().parse(grammar, "bark")
+        result = ParserSession(grammar, engine="vector").parse("bark")
         assert result.locally_consistent
 
     def test_round_trip(self):

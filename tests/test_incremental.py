@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import Constraint, VectorEngine, count_parses, extract_parses
+from repro import Constraint, ParserSession, count_parses, extract_parses
 from repro.grammar.builtin.english import english_grammar
 from repro.propagation import apply_constraint, apply_constraints
 
@@ -15,7 +15,7 @@ SENTENCE = "the man sees the woman with the telescope"
 @pytest.fixture
 def ambiguous_network():
     grammar = english_grammar()
-    return grammar, VectorEngine().parse(grammar, SENTENCE).network
+    return grammar, ParserSession(grammar, engine="vector").parse(SENTENCE).network
 
 
 def pp_to_root(grammar) -> Constraint:
@@ -67,7 +67,7 @@ class TestApplyConstraint:
 
         extended = build.__wrapped__()  # fresh, uncached grammar instance
         extended.constraints.append(pp_to_root(extended))
-        reference = VectorEngine().parse(extended, SENTENCE).network
+        reference = ParserSession(extended, engine="vector").parse(SENTENCE).network
         np.testing.assert_array_equal(network.alive, reference.alive)
         np.testing.assert_array_equal(network.matrix, reference.matrix)
 

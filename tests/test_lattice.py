@@ -4,11 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro import VectorEngine, accepts, extract_parses
+from repro import ParserSession, accepts, extract_parses
 from repro.errors import GrammarError, LexiconError
 from repro.grammar.builtin.english import english_grammar
-
-ENGINE = VectorEngine()
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +43,7 @@ class TestLatticeParsing:
         """Recognizer confusion between a noun and a verb at position 3:
         after a subject only the verb reading survives."""
         lattice = grammar.tokenize_lattice([["the"], ["dog"], ["runs", "dogs"]])
-        result = ENGINE.parse(grammar, lattice)
+        result = ParserSession(grammar, engine="vector").parse(lattice)
         parses = extract_parses(result.network, limit=None)
         assert len(parses) == 1
         verb = grammar.symbols.categories.code("verb")
@@ -57,22 +55,22 @@ class TestLatticeParsing:
         lattice = grammar.tokenize_lattice(
             [["the"], ["man"], ["saw"], ["the"], ["duck"]]
         )
-        result = ENGINE.parse(grammar, lattice)
+        result = ParserSession(grammar, engine="vector").parse(lattice)
         assert accepts(result.network)
 
     def test_inconsistent_lattice_rejected(self, grammar):
         lattice = grammar.tokenize_lattice([["the"], ["the", "a"], ["runs"]])
-        result = ENGINE.parse(grammar, lattice)
+        result = ParserSession(grammar, engine="vector").parse(lattice)
         assert not accepts(result.network)
 
     def test_lattice_equals_best_path_parse(self, grammar):
         """A lattice whose extra hypotheses are all ungrammatical parses
         exactly like the clean sentence."""
-        clean = ENGINE.parse(grammar, "the dog runs")
+        clean = ParserSession(grammar, engine="vector").parse("the dog runs")
         lattice = grammar.tokenize_lattice(
             [["the"], ["dog", "the"], ["runs", "in"]]
         )
-        noisy = ENGINE.parse(grammar, lattice)
+        noisy = ParserSession(grammar, engine="vector").parse(lattice)
         clean_parse = extract_parses(clean.network, limit=None)
         noisy_parse = extract_parses(noisy.network, limit=None)
         assert len(clean_parse) == len(noisy_parse) == 1
@@ -84,10 +82,8 @@ class TestLatticeParsing:
     def test_all_engines_handle_lattices(self, grammar):
         import numpy as np
 
-        from repro import MasParEngine, MeshEngine, SerialEngine
-
         lattice = grammar.tokenize_lattice([["the"], ["dog", "duck"], ["runs"]])
-        reference = ENGINE.parse(grammar, lattice)
-        for engine in (SerialEngine(), MasParEngine(), MeshEngine()):
-            result = engine.parse(grammar, lattice)
+        reference = ParserSession(grammar, engine="vector").parse(lattice)
+        for engine in ("serial", "maspar", "mesh"):
+            result = ParserSession(grammar, engine=engine).parse(lattice)
             np.testing.assert_array_equal(result.network.alive, reference.network.alive)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import MeshEngine, VectorEngine
+from repro import ParserSession
 from repro.errors import MachineError
 from repro.grammar.builtin import dyck_grammar, program_grammar
 from repro.grammar.builtin.english import english_grammar
@@ -85,17 +85,17 @@ class TestMeshEngine:
         ids=["toy", "one-word", "reject", "english-pp", "english-reject", "dyck"],
     )
     def test_settles_identically_to_vector(self, grammar, sentence):
-        mesh = MeshEngine().parse(grammar, sentence)
-        vector = VectorEngine().parse(grammar, sentence)
+        mesh = ParserSession(grammar, engine="mesh").parse(sentence)
+        vector = ParserSession(grammar, engine="vector").parse(sentence)
         np.testing.assert_array_equal(mesh.network.alive, vector.network.alive)
         np.testing.assert_array_equal(mesh.network.matrix, vector.network.matrix)
 
     def test_uses_quadratic_cells(self):
-        result = MeshEngine().parse(english_grammar(), sentence_of_length(8))
+        result = ParserSession(english_grammar(), engine="mesh").parse(sentence_of_length(8))
         assert result.stats.processors == (8 * 2) ** 2  # (q n)^2 cells
 
     def test_mesh_time_reported(self):
-        result = MeshEngine().parse(program_grammar(), "The program runs")
+        result = ParserSession(program_grammar(), engine="mesh").parse("The program runs")
         extra = result.stats.extra
         assert extra["mesh_time"] == extra["local_work"] // extra["cells"] + extra["comm_steps"]
         assert extra["compute_steps"] > 0 and extra["comm_steps"] > 0
@@ -107,21 +107,21 @@ class TestMeshEngine:
         grammar = program_grammar()
         ns = [3, 6, 9, 12]
         times = [
-            MeshEngine().parse(grammar, toy_sentence(n)).stats.extra["mesh_time"]
+            ParserSession(grammar, engine="mesh").parse(toy_sentence(n)).stats.extra["mesh_time"]
             for n in ns
         ]
         fit = fit_power_law(ns, times)
         assert 1.6 < fit.exponent < 2.4, fit
 
     def test_filter_limit(self):
-        bounded = MeshEngine().parse(
-            english_grammar(), "the dog sees the cat", filter_limit=0
+        bounded = ParserSession(english_grammar(), engine="mesh").parse(
+            "the dog sees the cat", filter_limit=0
         )
         assert bounded.stats.filtering_iterations == 0
 
     def test_trace_events(self):
         events = []
-        MeshEngine().parse(
-            program_grammar(), "The program runs", trace=lambda e, n: events.append(e)
+        ParserSession(program_grammar(), engine="mesh").parse(
+            "The program runs", trace=lambda e, n: events.append(e)
         )
         assert "unary-done" in events and "filtering-done" in events

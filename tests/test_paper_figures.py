@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import extract_parses
+from repro import ParserSession, extract_parses
 from repro.network.network import ConstraintNetwork
 
 from tests.conftest import domains_snapshot, find_rv
@@ -95,7 +95,7 @@ class Recorder:
 @pytest.fixture
 def traced(toy_grammar, engine):
     recorder = Recorder()
-    result = engine.parse(toy_grammar, SENTENCE, trace=recorder)
+    result = ParserSession(toy_grammar, engine=engine).parse(SENTENCE, trace=recorder)
     return recorder, result
 
 

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro import MasParEngine, ParserSession, VectorEngine
+from repro import MasParEngine, ParserSession
 from repro.grammar.builtin import program_grammar
 from repro.grammar.builtin.english import english_grammar
 from repro.maspar import CostModel
@@ -23,7 +23,7 @@ from repro.workloads import toy_sentence
 
 @pytest.fixture(scope="module")
 def toy_result():
-    return MasParEngine().parse(program_grammar(), "The program runs")
+    return ParserSession(program_grammar(), engine="maspar").parse("The program runs")
 
 
 class TestInstrumentation:
@@ -77,7 +77,8 @@ class TestTimingModel:
         )
 
     def test_uncalibrated_engine(self):
-        raw = MasParEngine(calibrate=False).parse(program_grammar(), "The program runs")
+        uncalibrated = MasParEngine(calibrate=False)
+        raw = ParserSession(program_grammar(), engine=uncalibrated).parse("The program runs")
         assert raw.stats.extra["calibration_factor"] == 1.0
         assert raw.stats.simulated_seconds != pytest.approx(PAPER_TOY_PARSE_SECONDS)
 
@@ -91,40 +92,40 @@ class TestTimingModel:
         assert units == sorted(units)
 
     def test_virtualized_sentence_costs_more(self):
-        engine = MasParEngine()
-        small = engine.parse(program_grammar(), toy_sentence(8))
-        big = engine.parse(program_grammar(), toy_sentence(9))
+        session = ParserSession(program_grammar(), engine="maspar")
+        small = session.parse(toy_sentence(8))
+        big = session.parse(toy_sentence(9))
         assert big.stats.extra["virtualization_factor"] == 2
         assert big.stats.simulated_seconds > 1.5 * small.stats.simulated_seconds
 
     def test_custom_cost_model(self):
         slow = CostModel(scan_cycles_per_stage=320)
-        result = MasParEngine(cost=slow, calibrate=False).parse(
-            program_grammar(), "The program runs"
-        )
-        base = MasParEngine(calibrate=False).parse(program_grammar(), "The program runs")
+        slow_engine = MasParEngine(cost=slow, calibrate=False)
+        result = ParserSession(program_grammar(), engine=slow_engine).parse("The program runs")
+        base_engine = MasParEngine(calibrate=False)
+        base = ParserSession(program_grammar(), engine=base_engine).parse("The program runs")
         assert result.stats.extra["cycles"] > base.stats.extra["cycles"]
 
 
 class TestBehaviour:
     def test_filter_limit_zero_skips_final_filtering(self):
-        engine = MasParEngine()
-        bounded = engine.parse(program_grammar(), "The program runs", filter_limit=0)
+        session = ParserSession(program_grammar(), engine="maspar")
+        bounded = session.parse("The program runs", filter_limit=0)
         assert bounded.stats.filtering_iterations == 0
 
     def test_ambiguous_words_settle_identically(self):
         grammar = english_grammar()
         sentence = "the saw sees the duck"
-        a = MasParEngine().parse(grammar, sentence)
-        b = VectorEngine().parse(grammar, sentence)
+        a = ParserSession(grammar, engine="maspar").parse(sentence)
+        b = ParserSession(grammar, engine="vector").parse(sentence)
         np.testing.assert_array_equal(a.network.alive, b.network.alive)
         np.testing.assert_array_equal(a.network.matrix, b.network.matrix)
 
     def test_rejected_sentence(self):
-        result = MasParEngine().parse(program_grammar(), "program the runs")
+        result = ParserSession(program_grammar(), engine="maspar").parse("program the runs")
         assert not result.locally_consistent
 
     def test_single_word(self):
-        result = MasParEngine().parse(program_grammar(), "program")
-        ref = VectorEngine().parse(program_grammar(), "program")
+        result = ParserSession(program_grammar(), engine="maspar").parse("program")
+        ref = ParserSession(program_grammar(), engine="vector").parse("program")
         np.testing.assert_array_equal(result.network.alive, ref.network.alive)

@@ -4,8 +4,8 @@ The load-bearing invariants:
 
 * a network bound from a *cached* template is bit-identical to one
   built cold by ``ConstraintNetwork(grammar, sentence)``;
-* ``parse_many`` equals a loop of one-shot ``ParserEngine.parse`` calls
-  (networks and every deterministic stat);
+* ``parse_many`` equals a loop of one-shot parses, each through a
+  fresh session (networks and every deterministic stat);
 * the template LRU stays bounded and evicts oldest-first;
 * back-to-back parses through one session share no mutable state.
 """
@@ -220,7 +220,7 @@ class TestSessionEquivalence:
         ]
         batch = ParserSession(grammar, engine=engine).parse_many(sentences)
         for sentence, warm in zip(sentences, batch, strict=True):
-            cold = create_engine(engine).parse(grammar, sentence)
+            cold = ParserSession(grammar, engine=engine).parse(sentence)
             assert_same_network(warm.network, cold.network)
             assert warm.locally_consistent == cold.locally_consistent
             assert warm.ambiguous == cold.ambiguous
@@ -237,18 +237,6 @@ class TestSessionEquivalence:
         for stat in DETERMINISTIC_STATS:
             assert getattr(first.stats, stat) == getattr(again.stats, stat), stat
 
-    def test_engine_parse_wrapper_matches_session(self):
-        grammar = program_grammar()
-        words = ["The", "program", "runs"]
-        wrapped = VectorEngine().parse(grammar, words)
-        direct = ParserSession(grammar, engine="vector").parse(words)
-        assert_same_network(wrapped.network, direct.network)
-
-    def test_engine_parse_wrapper_warns_deprecated(self):
-        grammar = program_grammar()
-        with pytest.warns(DeprecationWarning, match="ParserSession"):
-            VectorEngine().parse(grammar, ["The", "program", "runs"])
-
     def test_session_filter_limit_default_and_override(self):
         session = ParserSession(english_grammar(), engine="vector", filter_limit=0)
         limited = session.parse(["the", "dog", "runs"])
@@ -256,7 +244,7 @@ class TestSessionEquivalence:
         # An explicit argument overrides the session default (None = to
         # fixpoint, which must match the unlimited one-shot path).
         unlimited = session.parse(["the", "dog", "runs"], filter_limit=None)
-        cold = VectorEngine().parse(english_grammar(), ["the", "dog", "runs"])
+        cold = ParserSession(english_grammar(), engine="vector").parse(["the", "dog", "runs"])
         assert np.array_equal(unlimited.network.alive, cold.network.alive)
         assert np.array_equal(unlimited.network.matrix, cold.network.matrix)
 

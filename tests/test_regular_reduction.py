@@ -14,11 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import VectorEngine, accepts, extract_parses
+from repro import ParserSession, accepts, extract_parses
 from repro.errors import ReproError
 from repro.reductions import DFA, dfa_to_cdg
-
-ENGINE = VectorEngine()
 
 
 def even_as() -> DFA:
@@ -83,9 +81,8 @@ class TestCompiledGrammars:
         for n in range(1, 6):
             for s in itertools.product(dfa.alphabet, repeat=n):
                 words = list(s)
-                assert (
-                    accepts(ENGINE.parse(grammar, words).network) == dfa.accepts(words)
-                ), words
+                result = ParserSession(grammar, engine="vector").parse(words)
+                assert accepts(result.network) == dfa.accepts(words), words
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10**6), word_seed=st.integers(0, 10**6))
@@ -95,26 +92,25 @@ class TestCompiledGrammars:
         rng = random.Random(word_seed)
         for _ in range(8):
             words = [rng.choice(dfa.alphabet) for _ in range(rng.randint(1, 6))]
-            assert (
-                accepts(ENGINE.parse(grammar, words).network) == dfa.accepts(words)
-            ), words
+            result = ParserSession(grammar, engine="vector").parse(words)
+            assert accepts(result.network) == dfa.accepts(words), words
 
     def test_no_accepting_states_rejects_everything(self):
         dfa = DFA(1, ("a",), {(0, "a"): 0}, frozenset())
         grammar = dfa_to_cdg(dfa)
         for n in (1, 2, 3):
-            assert not accepts(ENGINE.parse(grammar, ["a"] * n).network)
+            assert not accepts(ParserSession(grammar, engine="vector").parse(["a"] * n).network)
 
     def test_single_word(self):
         grammar = dfa_to_cdg(ends_in_ab())
-        assert not accepts(ENGINE.parse(grammar, ["a"]).network)
-        assert not accepts(ENGINE.parse(grammar, ["b"]).network)
+        assert not accepts(ParserSession(grammar, engine="vector").parse(["a"]).network)
+        assert not accepts(ParserSession(grammar, engine="vector").parse(["b"]).network)
 
     def test_parse_exhibits_the_run(self):
         """The surviving labels spell out the DFA's state sequence."""
         dfa = ends_in_ab()
         grammar = dfa_to_cdg(dfa)
-        result = ENGINE.parse(grammar, list("aab"))
+        result = ParserSession(grammar, engine="vector").parse(list("aab"))
         parses = extract_parses(result.network, limit=None)
         assert len(parses) == 1
         mapping = parses[0].pretty_assignment(grammar.symbols)
@@ -126,7 +122,7 @@ class TestCompiledGrammars:
     def test_chain_is_forced(self):
         """Hall's condition: the pointers must form the successor chain."""
         grammar = dfa_to_cdg(even_as())
-        result = ENGINE.parse(grammar, list("abab"))
+        result = ParserSession(grammar, engine="vector").parse(list("abab"))
         for parse in extract_parses(result.network, limit=None):
             heads = parse.heads(0)
             for pos in range(1, 4):

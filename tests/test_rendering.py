@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import SerialEngine
+from repro import ParserSession
 from repro.network import ConstraintNetwork, render_arc_matrix
 
 
@@ -16,7 +16,7 @@ def settled(toy_grammar):
         if event == "binary:subj-governed-by-root-to-right":
             recorder["after-binary-1"] = net.clone()
 
-    result = SerialEngine().parse(toy_grammar, "The program runs", trace=trace)
+    result = ParserSession(toy_grammar, engine="serial").parse("The program runs", trace=trace)
     return recorder["after-binary-1"], result.network
 
 

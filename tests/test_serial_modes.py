@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import SerialEngine, VectorEngine
+from repro import ParserSession
 from repro.grammar.builtin import program_grammar
 from repro.workloads import toy_sentence
 
@@ -13,16 +13,16 @@ from repro.workloads import toy_sentence
 class TestExhaustiveMode:
     @pytest.mark.parametrize("sentence", ["The program runs", "program the runs", "a program"])
     def test_same_final_network(self, sentence):
-        pruned = SerialEngine().parse(program_grammar(), sentence)
-        exhaustive = SerialEngine(exhaustive=True).parse(program_grammar(), sentence)
-        vector = VectorEngine().parse(program_grammar(), sentence)
+        pruned = ParserSession(program_grammar(), engine="serial").parse(sentence)
+        exhaustive = ParserSession(program_grammar(), engine="serial-exhaustive").parse(sentence)
+        vector = ParserSession(program_grammar(), engine="vector").parse(sentence)
         np.testing.assert_array_equal(pruned.network.alive, exhaustive.network.alive)
         np.testing.assert_array_equal(pruned.network.matrix, exhaustive.network.matrix)
         np.testing.assert_array_equal(vector.network.alive, exhaustive.network.alive)
 
     def test_exhaustive_checks_every_cross_role_pair(self):
         grammar = program_grammar()
-        result = SerialEngine(exhaustive=True).parse(grammar, "The program runs")
+        result = ParserSession(grammar, engine="serial-exhaustive").parse("The program runs")
         nv = result.network.nv
         # Same-role pairs (including self) are excluded from the sweep.
         per_role = nv // result.network.n_roles
@@ -33,13 +33,14 @@ class TestExhaustiveMode:
     def test_pruned_does_strictly_less_work(self):
         grammar = program_grammar()
         sentence = toy_sentence(5)
-        pruned = SerialEngine().parse(grammar, sentence)
-        exhaustive = SerialEngine(exhaustive=True).parse(grammar, sentence)
+        pruned = ParserSession(grammar, engine="serial").parse(sentence)
+        exhaustive = ParserSession(grammar, engine="serial-exhaustive").parse(sentence)
         assert pruned.stats.pair_checks < exhaustive.stats.pair_checks
 
     def test_exhaustive_work_independent_of_rejection(self):
         """The O(n^4) sweep costs the same whether the sentence parses."""
         grammar = program_grammar()
-        good = SerialEngine(exhaustive=True).parse(grammar, ["the", "program", "runs"])
-        bad = SerialEngine(exhaustive=True).parse(grammar, ["program", "the", "runs"])
+        exhaustive = ParserSession(grammar, engine="serial-exhaustive")
+        good = exhaustive.parse(["the", "program", "runs"])
+        bad = exhaustive.parse(["program", "the", "runs"])
         assert good.stats.pair_checks == bad.stats.pair_checks

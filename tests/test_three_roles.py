@@ -15,23 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import (
-    ConstraintNetwork,
-    MasParEngine,
-    MeshEngine,
-    SerialEngine,
-    VectorEngine,
-    accepts,
-    extract_parses,
-)
+from repro import ConstraintNetwork, ParserSession, accepts, extract_parses
 from repro.grammar.builtin import abcd_grammar, abcd_oracle
 from repro.parsec import build_layout
 
-ENGINE = VectorEngine()
-
 
 def cdg_accepts(words) -> bool:
-    return accepts(ENGINE.parse(abcd_grammar(), list(words)).network)
+    return accepts(ParserSession(abcd_grammar(), engine="vector").parse(list(words)).network)
 
 
 class TestLanguage:
@@ -58,7 +48,7 @@ class TestLanguage:
         assert cdg_accepts(words) == abcd_oracle(words)
 
     def test_parse_structure(self):
-        result = ENGINE.parse(abcd_grammar(), list("abcd"))
+        result = ParserSession(abcd_grammar(), engine="vector").parse(list("abcd"))
         parses = extract_parses(result.network, limit=None)
         assert len(parses) == 1
         mapping = parses[0].pretty_assignment(abcd_grammar().symbols)
@@ -87,13 +77,13 @@ class TestThreeRoleMachinery:
         cases = [list("aabbccdd"), list("abcd"), list("abdc")]
         cases += [[rng.choice("abcd") for _ in range(6)] for _ in range(3)]
         for words in cases:
-            reference = ENGINE.parse(grammar, words)
-            for engine in (SerialEngine(), MasParEngine(), MeshEngine()):
-                result = engine.parse(grammar, words)
+            reference = ParserSession(grammar, engine="vector").parse(words)
+            for engine in ("serial", "maspar", "mesh"):
+                result = ParserSession(grammar, engine=engine).parse(words)
                 np.testing.assert_array_equal(
                     result.network.alive,
                     reference.network.alive,
-                    err_msg=f"{engine.name} differs on {''.join(words)}",
+                    err_msg=f"{engine} differs on {''.join(words)}",
                 )
                 np.testing.assert_array_equal(
                     result.network.matrix, reference.network.matrix
@@ -102,8 +92,6 @@ class TestThreeRoleMachinery:
     def test_pram_at_q3(self):
         grammar = abcd_grammar()
         words = list("abcd")
-        from repro import PRAMEngine
-
-        result = PRAMEngine().parse(grammar, words)
-        reference = ENGINE.parse(grammar, words)
+        result = ParserSession(grammar, engine="pram").parse(words)
+        reference = ParserSession(grammar, engine="vector").parse(words)
         np.testing.assert_array_equal(result.network.alive, reference.network.alive)
