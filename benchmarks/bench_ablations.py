@@ -3,7 +3,12 @@
 * **ABL-T** — footnote 1: "In our implementation, we also restrict labels
   by using word category information."  We run the English grammar with
   and without its lexical table and measure initial domain sizes and
-  parse cost: the refinement is why realistic label sets stay tractable.
+  parse cost on the per-constraint schedule, which sweeps every binary
+  constraint over all NV^2 pairs as the MP-1 does: the refinement is why
+  realistic label sets stay tractable there.  The fused schedule
+  evaluates binary constraints only among the unary survivors, which are
+  the same with or without the table, so its ratio is reported, not
+  asserted.
 
 * **ABL-F** — footnote 3: the NC-reduction from the Monotone Circuit
   Value Problem to filtering.  We evaluate AND-chains of growing depth by
@@ -43,12 +48,30 @@ def english_without_lexical_table() -> CDGGrammar:
     )
 
 
+def cold_parse_seconds(grammar: CDGGrammar, words: list[str], *, per_constraint: bool) -> float:
+    """Engine seconds of one parse on a fresh session, masks included.
+
+    A filter limit selects the per-constraint schedule; each productive
+    filtering pass kills a value, so a limit of NV never cuts it short.
+    """
+    session = ParserSession(grammar, engine="vector")
+    limit = session.template_for(words).nv if per_constraint else None
+    result = session.parse(words, filter_limit=limit)
+    assert result.locally_consistent
+    return result.stats.wall_seconds
+
+
 @pytest.mark.benchmark(group="ablations")
 def test_lexical_table_ablation(benchmark, report):
     """ABL-T: the footnote-1 label restriction."""
     refined = english_grammar()
     unrefined = english_without_lexical_table()
     ns = [6, 10, 14]
+    # Both grammars share the english constraints, which compile their
+    # evaluators on first use: warm them so neither side is charged.
+    for grammar in (refined, unrefined):
+        for per_constraint in (True, False):
+            cold_parse_seconds(grammar, sentence_of_length(3), per_constraint=per_constraint)
 
     def sweep():
         rows = []
@@ -56,10 +79,12 @@ def test_lexical_table_ablation(benchmark, report):
             words = sentence_of_length(n)
             net_r = ConstraintNetwork(refined, refined.tokenize(words))
             net_u = ConstraintNetwork(unrefined, unrefined.tokenize(words))
-            res_r = ParserSession(refined, engine="vector").parse(words)
-            res_u = ParserSession(unrefined, engine="vector").parse(words)
-            assert res_r.locally_consistent and res_u.locally_consistent
-            rows.append((n, net_r.nv, net_u.nv, res_r.stats.wall_seconds, res_u.stats.wall_seconds))
+            times = [
+                cold_parse_seconds(grammar, words, per_constraint=per_constraint)
+                for per_constraint in (True, False)
+                for grammar in (refined, unrefined)
+            ]
+            rows.append((n, net_r.nv, net_u.nv, *times))
         return rows
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
@@ -73,20 +98,24 @@ def test_lexical_table_ablation(benchmark, report):
             format_seconds(t_r),
             format_seconds(t_u),
             f"{t_u / t_r:.1f}x",
+            f"{f_u / f_r:.1f}x",
         ]
-        for n, nv_r, nv_u, t_r, t_u in rows
+        for n, nv_r, nv_u, t_r, t_u, f_r, f_u in rows
     ]
     report(
         "ABL-T: lexical label restriction (paper footnote 1)",
-        ["n", "role values (with)", "(without)", "domain blowup", "parse (with)", "(without)", "slowdown"],
+        ["n", "role values (with)", "(without)", "domain blowup",
+         "per-constraint parse (with)", "(without)", "slowdown", "fused slowdown"],
         table,
         notes="Without the (role, category) -> label table every word admits every\n"
-              "table-T label for each role; domains and pair-sweep cost inflate.",
+              "table-T label for each role; domains and the NV^2 pair sweep inflate.\n"
+              "The fused schedule sweeps only the unary survivors' pairs, which the\n"
+              "table does not change, so its slowdown stays small (reported only).",
     )
 
-    for _, nv_r, nv_u, t_r, t_u in rows:
+    for _, nv_r, nv_u, t_r, t_u, _, _ in rows:
         assert nv_u > 2 * nv_r  # domains inflate substantially
-        assert t_u > t_r  # and so does parse cost
+        assert t_u > t_r  # and so does the per-constraint parse cost
 
 
 @pytest.mark.benchmark(group="ablations")

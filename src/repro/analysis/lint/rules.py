@@ -755,7 +755,8 @@ class WriteThroughAttached(LintRule):
 class ExtendMustNotThaw(LintRule):
     """RPR011: the streaming core's contract is that ``extend*`` methods
     grow *new* state from a frozen predecessor — ``NetworkTemplate.extend``
-    scatters the prefix's cached masks into a fresh layout — and the
+    builds the one-word-longer template from the prefix's shape, and
+    carries no arrays across since masks became unary-first — and the
     predecessor stays bit-identical throughout (the prefix template
     stays cached for every other holder).  Any in-place write to an
     array reachable from an ``extend*`` function's parameters (item

@@ -246,6 +246,7 @@ def enable() -> None:
     _patch(ConstraintNetwork, "kill", _monotonic_mutation)
     _patch(ConstraintNetwork, "apply_pair_mask", _monotonic_mutation)
     _patch(ConstraintNetwork, "apply_pair_mask_bits", _monotonic_mutation)
+    _patch(ConstraintNetwork, "apply_row_mask_bits", _monotonic_mutation)
     _patch(ConstraintNetwork, "materialize_bool", _materialize_wrapper)
     _patch(ConstraintNetwork, "repack", _repack_wrapper)
     _patch(ConstraintNetwork, "clone", _clone_wrapper)

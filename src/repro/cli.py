@@ -89,6 +89,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _port(text: str) -> int:
+    """argparse type for TCP ports: an integer in 0..65535 (0 asks the OS)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(f"must be a port in 0..65535, got {value}")
+    return value
+
+
 def _non_negative_float(text: str) -> float:
     """argparse type for durations: a finite number of at least 0."""
     try:
@@ -290,7 +301,7 @@ def _cmd_stream(args: argparse.Namespace, out) -> int:
     return 0 if stream.result().locally_consistent else 1
 
 
-def _serve_bench_streaming(args: argparse.Namespace, service, out) -> int:
+def _serve_bench_streams(args: argparse.Namespace, service, out) -> int:
     from repro.workloads import sentence_of_length
 
     words = sentence_of_length(10)
@@ -345,7 +356,7 @@ def _cmd_serve_bench(args: argparse.Namespace, out) -> int:
         admission="block",
     )
     if args.streaming:
-        return _serve_bench_streaming(args, service, out)
+        return _serve_bench_streams(args, service, out)
     with service:
         start = time.perf_counter()
         futures = [service.submit(words) for words in sentences]
@@ -530,8 +541,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="parse word-at-a-time (incremental streaming core)",
         description="Feed words one at a time — as arguments, or from stdin "
         "when none are given — and print the running verdict and domain "
-        "sizes after each token.  Templates are grown by prefix extension, "
-        "so the whole stream costs one cumulative template build.",
+        "sizes after each token.  Each token settles the grown prefix on "
+        "its own template, as a fresh parse of the same words would.",
     )
     p_stream.add_argument("words", nargs="*",
                           help="tokens (or one quoted sentence); default: read stdin")
@@ -554,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_shard.add_argument("--grammar", "-g", default="english")
     p_shard.add_argument("--engine", "-e", default="vector", help=engine_help)
     p_shard.add_argument("--host", default="127.0.0.1")
-    p_shard.add_argument("--port", type=int, default=0,
+    p_shard.add_argument("--port", type=_port, default=0,
                          help="TCP port; 0 asks the OS (announced via --port-file)")
     p_shard.add_argument("--shard-id", type=int, default=0)
     p_shard.add_argument("--workers", "-w", type=_positive_int, default=1)

@@ -22,8 +22,10 @@ pulls them from :meth:`NetworkTemplate.vector_masks`: the first parse
 of a sentence shape evaluates and caches, every later parse of that
 shape replays the cached masks.  Through a
 :class:`~repro.pipeline.session.ParserSession` this is where batch
-throughput comes from; on the one-shot path the template is fresh each
-call and the cost is identical to direct evaluation.
+throughput comes from.  The masks are unary first: the binary
+constraints of the fused mask are evaluated only among the values the
+unary constraints leave alive, and the per-constraint binary masks only
+when the per-constraint schedule asks for them.
 
 The call picks the schedule.  With no trace hook, no filter limit and
 at least one binary constraint, the engine runs the **fused schedule**,
@@ -34,7 +36,10 @@ whose work follows the values still alive rather than NV:
   per-constraint kill rounds end in a template constant, and so do
   their ``unary_checks`` and kill counts.  A network that already has
   kills runs the rounds;
-* binary: one word-wide AND of the fused mask (``VectorMasks.fused``);
+* binary: one word-wide AND of the fused mask into the K survivors'
+  rows (``VectorMasks.fused``, evaluated over the K x K survivor block
+  only).  Dead rows and columns are already zero, so the bits and the
+  newly-zeroed count equal a full-width AND of the full fused mask;
 * consistency: :func:`~repro.propagation.consistency.settle_alive_block`
   runs the sweep to quiescence on the K x K block of the K values still
   alive (one ``support_any`` call over K rows per pass), then applies
@@ -137,13 +142,13 @@ class VectorEngine(ParserEngine):
 
         One kill of the template's folded unary dead set (the rounds
         themselves on a network that already has kills, since the fold
-        assumes a fresh bind), one AND of the fused binary mask, then
-        the consistency fixpoint on the block of values still alive.
-        Every counter equals the unfolded form's (unary rounds one
-        constraint at a time, then the full-width sweep):
-        ``pair_checks`` still counts all k_b constraints per pair, since
-        their checks were folded into the mask at template build, not
-        skipped.
+        assumes a fresh bind), one AND of the fused binary mask into the
+        survivors' rows, then the consistency fixpoint on the block of
+        values still alive.  Every counter equals the unfolded form's
+        (unary rounds one constraint at a time, every binary mask over
+        all NV^2 pairs, then the full-width sweep).  ``pair_checks`` is
+        that form's model count, ``NV^2 * k_b``: the template evaluates
+        the binary constraints only among the unary survivors.
         """
         stats = EngineStats()
         if network.fully_alive():
@@ -156,7 +161,7 @@ class VectorEngine(ParserEngine):
             # sees, so the fold's counters do not apply: run the rounds.
             self._unary_rounds(network, masks=masks, compiled=compiled, stats=stats)
         stats.pair_checks = network.nv * network.nv * len(compiled.binary)
-        stats.matrix_entries_zeroed = network.apply_pair_mask_bits(masks.fused)
+        stats.matrix_entries_zeroed = network.apply_row_mask_bits(masks.survivors, masks.fused)
         settled = settle_alive_block(network)
         stats.role_values_killed += settled.role_values_killed
         stats.consistency_passes = settled.consistency_passes

@@ -108,26 +108,6 @@ class BitLayout:
             + self.seg_byte_starts.nbytes + self.full_words.nbytes
         )
 
-    def extend(self, role_slices: tuple[slice, ...]) -> "BitLayout":
-        """The layout of an enlarged role-value index space.
-
-        Streaming support: extending a sentence by one word both appends
-        new roles *and* widens every existing role's domain (each old
-        role gains the ``mod = n+1`` modifiee candidates), so the packed
-        bit offsets of the prefix's values move.  The new layout is
-        therefore built from scratch; what carries over is the *index
-        map* between the two spaces (``NetworkTemplate.prefix_map``).
-        The only invariant checked here is that the space grew — a
-        streaming step never shrinks an index space.
-        """
-        layout = BitLayout(role_slices)
-        if layout.nv < self.nv:
-            raise ValueError(
-                f"extended layout has {layout.nv} role values, fewer than "
-                f"the {self.nv} it extends"
-            )
-        return layout
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"BitLayout(nv={self.nv}, row_bytes={self.row_bytes}, "
@@ -137,11 +117,17 @@ class BitLayout:
 
 # -- pack / unpack -----------------------------------------------------------
 
-def pack_rows(bools: np.ndarray, layout: BitLayout) -> np.ndarray:
-    """Pack (..., NV) booleans into (..., n_words) little-endian words."""
+def pack_rows(
+    bools: np.ndarray, layout: BitLayout, *, columns: np.ndarray | None = None
+) -> np.ndarray:
+    """Pack (..., NV) booleans into (..., n_words) little-endian words.
+
+    With *columns* (global indices), *bools* is ``(..., len(columns))``
+    and carries those indices' bits only; every other bit packs to zero.
+    """
     bools = np.asarray(bools, dtype=bool)
     padded = np.zeros(bools.shape[:-1] + (layout.row_bytes * 8,), dtype=bool)
-    padded[..., layout.pbit] = bools
+    padded[..., layout.pbit if columns is None else layout.pbit[columns]] = bools
     packed = np.packbits(padded, axis=-1, bitorder="little")
     return packed.view(WORD_DTYPE)
 

@@ -393,6 +393,28 @@ class ConstraintNetwork:
         self._invalidate_views()
         return newly_zeroed
 
+    def apply_row_mask_bits(self, rows: np.ndarray, mask_bits: np.ndarray) -> int:
+        """AND a packed ``(len(rows), n_words)`` mask into the given rows.
+
+        The fused schedule's apply: *rows* are the unary survivors and
+        *mask_bits* their rows of the fused mask.  Every other row is
+        already zero, so this equals ANDing the full-width mask.  One
+        ``and_accumulate`` over the gathered rows; returns the exact
+        number of entries newly zeroed.
+        """
+        if self._bool_mode:
+            raise NetworkError("apply_row_mask_bits on a boolean-mode network")
+        if mask_bits.shape != (len(rows), self.matrix_bits.shape[1]):
+            raise NetworkError(
+                f"packed row mask shape {mask_bits.shape} does not match "
+                f"{(len(rows), self.matrix_bits.shape[1])}"
+            )
+        block = self.matrix_bits[rows]
+        newly_zeroed = self.kernels().and_accumulate(block, mask_bits)
+        self.matrix_bits[rows] = block
+        self._invalidate_views()
+        return newly_zeroed
+
     # -- rendering -------------------------------------------------------------------
 
     def describe(self) -> str:

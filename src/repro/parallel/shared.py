@@ -1,8 +1,9 @@
 """Zero-copy template transport: shared-memory export/attach.
 
 A :class:`NetworkTemplate`'s expensive artifacts — the packed O(NV^2)
-base matrix and the packed :class:`VectorMasks` (one per binary
-constraint, plus the fused AND) — are immutable once built, which makes
+base matrix and what the fused schedule reads of its
+:class:`VectorMasks` (the unary vectors and the fused mask over the
+unary survivors' rows) — are immutable once built, which makes
 them exactly the thing to place in OS shared memory: the parent
 exports each shape **once**, and every worker process attaches
 read-only NumPy views over the same physical pages instead of
@@ -85,18 +86,19 @@ class SharedTemplateHandle:
 
 
 def _export_arrays(template: NetworkTemplate, masks: VectorMasks) -> list[tuple[str, np.ndarray]]:
-    """The (name, array) payload of one template, stacking the masks."""
-    nv = template.nv
-    arrays: list[tuple[str, np.ndarray]] = [("base_bits", template.base_bits)]
-    unary = np.zeros((len(masks.unary), nv), dtype=bool)
+    """The (name, array) payload of one template, stacking the unary vectors.
+
+    The per-constraint binary masks are not exported: reading
+    ``masks.binary`` would evaluate them, and only the per-constraint
+    schedule needs them; an attached template evaluates them lazily.
+    """
+    unary = np.zeros((len(masks.unary), template.nv), dtype=bool)
     for i, mask in enumerate(masks.unary):
         unary[i] = mask
-    arrays.append(("unary", unary))
-    n_words = template.bit_layout.n_words
-    binary = np.zeros((len(masks.binary), nv, n_words), dtype=template.base_bits.dtype)
-    for i, mask in enumerate(masks.binary):
-        binary[i] = mask
-    arrays.append(("binary", binary))
+    arrays = [
+        ("base_bits", template.base_bits),
+        ("unary", unary),
+    ]
     if masks.fused is not None:
         arrays.append(("fused", masks.fused))
     return arrays
@@ -206,14 +208,12 @@ def attach_template(
         view = np.ndarray(spec.shape, dtype=spec.dtype, buffer=shm.buf, offset=spec.offset)
         view.setflags(write=False)
         views[spec.name] = view
-    unary = views["unary"]
-    binary = views["binary"]
-    masks = VectorMasks(
-        unary=tuple(unary[i] for i in range(unary.shape[0])),
-        binary=tuple(binary[i] for i in range(binary.shape[0])),
-        fused=views.get("fused"),
-    )
     template = NetworkTemplate.from_shared(
-        grammar, handle.key, compiled, base_bits=views["base_bits"], masks=masks
+        grammar,
+        handle.key,
+        compiled,
+        base_bits=views["base_bits"],
+        unary=tuple(views["unary"]),
+        fused=views.get("fused"),
     )
     return template, shm

@@ -12,8 +12,8 @@ Three layers, mirroring what is fixed at each timescale:
 * **execute** (per sentence): :class:`ParserSession` — owns the caches
   and an engine, exposes ``parse`` / ``parse_many``; for a sentence
   arriving a word at a time, ``session.stream()`` opens a
-  :class:`StreamingParse` whose per-token ``extend`` rides
-  prefix-extended templates instead of rebuilding.
+  :class:`StreamingParse` whose per-token ``extend`` settles each
+  grown prefix as ``parse`` would.
 
 See ``docs/architecture.md`` ("Pipeline: compile -> bind -> execute"
 and "Incremental streaming core").

@@ -44,9 +44,9 @@ if TYPE_CHECKING:  # pragma: no cover - types only
 #: Sentinel distinguishing "not passed" from an explicit None.
 _UNSET = object()
 
-#: Default bound on cached templates.  Each template holds O(NV^2)
-#: arrays plus (once the vector engine touches it) one mask per binary
-#: constraint, so the bound is what keeps long-running sessions flat.
+#: Default bound on cached templates.  Each template holds the O(NV^2)
+#: packed base matrix plus (once the vector engine touches it) its
+#: masks, so the bound is what keeps long-running sessions flat.
 DEFAULT_TEMPLATE_CACHE = 16
 
 
@@ -101,12 +101,10 @@ class ParserSession:
         """The (cached) template for *sentence*'s shape.
 
         With *prefix* — the template of the sentence minus its last
-        word, as the streaming layer holds it — a cache miss extends
-        the prefix template (scattering its frozen packed base matrix
-        and cached constraint masks into the enlarged layout) instead
-        of rebuilding the O(NV^2) artifacts from scratch; streaming a
-        sentence costs one cumulative build, not one per prefix.
-        ``template_builds()`` breaks the two build kinds out.
+        word, as the streaming layer holds it — a cache miss is built
+        by ``prefix.extend`` and counted as ``extended`` in
+        ``template_builds()``; the build itself is the same as a full
+        one.
         """
         sent = self.tokenize(sentence)
         key = sent.category_sets
@@ -117,7 +115,7 @@ class ParserSession:
                 and prefix.grammar is self.grammar
                 and prefix.category_sets == key[:-1]
             ):
-                template = prefix.extend(key[-1], compiled=self.compiled)
+                template = prefix.extend(key[-1])
                 self._builds["extended"] += 1
             else:
                 template = NetworkTemplate.build(self.grammar, sent.category_sets)
@@ -136,9 +134,8 @@ class ParserSession:
 
         Each ``extend(word)`` on the returned handle settles the grown
         prefix and returns its :class:`~repro.engines.base.ParseResult`,
-        bit-identical to ``parse()`` of the same words; templates are
-        grown by prefix extension rather than rebuilt per length.  Any
-        *words* given here are fed immediately.
+        bit-identical to ``parse()`` of the same words.  Any *words*
+        given here are fed immediately.
         """
         from repro.pipeline.streaming import StreamingParse
 
@@ -186,7 +183,7 @@ class ParserSession:
         """Bind *template* for *sent* and run the engine: every parse's body.
 
         Callers hold the parse guard.  ``parse`` looks the template up;
-        a stream passes the prefix-extended template it just grew.
+        a stream passes the template it just built for the grown prefix.
         """
         network = template.bind(sent)
         if trace:

@@ -1,38 +1,29 @@
 """Word-at-a-time incremental parsing: the streaming execute layer.
 
 The CN representation is monotone — propagation only ever eliminates
-role values — which makes incremental parsing natural: extending an
-n-word network to n+1 words only *adds* role domains and arc-matrix
-blocks, so prior eliminations remain valid and propagation can resume
-instead of reparsing from scratch.
-
-What actually carries over is the **pre-fixpoint** state: the network
-after the unary kills and the fused binary mask, *before* consistency
-maintenance.  That state is prefix-stable — elementwise constraint
+role values — but the *settled* state of a prefix does not carry over
+to the longer sentence: consistency kills are support-based, and the
+new word's role values can restore support to a value an earlier
+fixpoint eliminated.  What would carry over is the pre-fixpoint state
+(unary kills plus the fused binary mask), since elementwise constraint
 evaluation over the old role values does not depend on sentence
-length, so every old-value elimination (and every surviving matrix bit)
-is exactly what a fresh parse of the longer prefix would produce at
-the same point.  The *settled* state is not: consistency kills are
-support-based, and the new word's role values can restore support to a
-value an earlier fixpoint eliminated.
+length.  It is not worth carrying either: the masks are unary first
+(:meth:`NetworkTemplate.vector_masks` evaluates the binary constraints
+only among the unary survivors), so evaluating them fresh for the
+longer shape costs less than scattering the prefix's masks into the
+new layout.  No masks cross a word.
 
-Prefix-stability has a sharper consequence streams exploit: the
-pre-fixpoint state is a *pure function of the extended template's
-masks*.  Binding the extended template fresh and re-applying the
-(incrementally extended) masks reconstructs it bit for bit, without
-touching the predecessor network — so the carried state a stream needs
-is exactly the masks the prefix-extended template already caches.  A
-stream step is therefore the session's own parse body on that
-template: a fresh bind and the session's engine.  The consistency
-fixpoint reruns, and determinism of the sweep makes the settled
+A stream step is therefore the session's own parse body on the
+template of the grown prefix: ``ParserSession.template_for(prefix=)``
+builds it with ``NetworkTemplate.extend`` (a plain construction,
+counted as ``extended``) on a cache miss, then a fresh bind and the
+session's engine.  Determinism of the whole pipeline makes the settled
 network, the verdict, and every elimination counter bit-identical to a
 fresh full parse of the prefix.  Tests sweep that invariant per word.
 
-Every step runs the session's engine on the prefix-extended template,
-whatever the engine, so the O(NV^2) build work is incremental for all
-of them.  ``parse``, ``parse_many``, streams, the service, pool workers
-and cluster shards all run that one body.  Steps that ran the vector
-engine's fused schedule (its result carries
+``parse``, ``parse_many``, streams, the service, pool workers and
+cluster shards all run that one body, whatever the engine.  Steps that
+ran the vector engine's fused schedule (its result carries
 ``stats.extra["fused_binary_kernel"]``) are marked
 ``stats.extra["streamed"]``.
 """

@@ -15,8 +15,11 @@ caches behind its bounded LRU; they also own the lazily-computed
 artifacts the execute layer shares across every network bound from the
 same shape:
 
-* the symmetrized vector-evaluation masks of every constraint (a pure
-  function of the field arrays — the single biggest per-parse cost);
+* the vector-evaluation masks (:class:`VectorMasks`, a pure function
+  of the field arrays), unary first: the unary vectors and their
+  survivors, then the fused binary mask over the survivors' block
+  only; the per-constraint binary masks over all NV^2 pairs are
+  evaluated only when something reads them;
 * the consistency-maintenance segment tables (role starts for
   ``reduceat``);
 * a packed ``(NV, n_words)`` scratch buffer reused by consistency
@@ -60,86 +63,111 @@ class UnaryFold(NamedTuple):
     unary_checks: int  # alive values the rounds would check, from a fresh bind
 
 
+def _fold_unary(unary: tuple[np.ndarray, ...], nv: int) -> tuple[UnaryFold, np.ndarray]:
+    """The unary rounds of a fresh bind as one dead set, and its complement.
+
+    Every bind starts fully alive, so the per-constraint rounds end in a
+    template constant: the values the AND of *unary* rejects, and a
+    ``unary_checks`` total that sums the alive count each round starts
+    from.  Killing the set at once leaves the same bits, since a kill
+    only zeroes a value's row and column.  The second result is the
+    sorted survivors, the values every unary constraint permits.
+    """
+    alive = np.ones(nv, dtype=bool)
+    checks = 0
+    for permitted in unary:
+        checks += int(np.count_nonzero(alive))
+        alive &= permitted
+    return UnaryFold(_frozen(np.flatnonzero(~alive)), checks), _frozen(np.flatnonzero(alive))
+
+
+def _pair_env(fields: dict[str, np.ndarray], canbe: np.ndarray):
+    """The binary-constraint env over every pair of the given values."""
+    from repro.constraints.vector import VectorEnv
+
+    return VectorEnv(
+        x={k: v[:, None] for k, v in fields.items()},
+        y={k: v[None, :] for k, v in fields.items()},
+        canbe=canbe,
+    )
+
+
+def _binary_masks_packed(
+    fields: dict[str, np.ndarray],
+    canbe: np.ndarray,
+    layout: BitLayout,
+    compiled: CompiledGrammar,
+) -> tuple[np.ndarray, ...]:
+    """Symmetrized packed masks of every binary constraint over all NV^2 pairs.
+
+    The thunk behind ``VectorMasks.binary``.  It takes the template's
+    arrays rather than the template, so the template -> masks -> thunk
+    chain is no reference cycle: an evicted template is freed at once,
+    not when the cyclic collector next runs.
+    """
+    env = _pair_env(fields, canbe)
+    binary: list[np.ndarray] = []
+    for cc in compiled.binary:
+        permitted = cc.vector(env)
+        binary.append(_frozen(bitset.pack_rows(permitted & permitted.T, layout)))
+    return tuple(binary)
+
+
 class VectorMasks:
     """Per-template constraint evaluations for the vector execute path.
 
-    ``unary[i]`` is the permitted ``(NV,)`` bool vector of the i-th
-    unary constraint; ``binary[i]`` the orientation-symmetrized
-    permitted mask of the i-th binary constraint (already
-    ``permitted & permitted.T``), packed as an ``(NV, n_words)`` uint64
-    array ready to AND into the network's bit matrices — ~8x smaller
-    per cache entry than a boolean mask.
+    Unary first, as in PARSEC.  ``unary[i]`` is the permitted ``(NV,)``
+    bool vector of the i-th unary constraint; ``unary_fold`` folds their
+    kill rounds on a fresh bind into one dead set (see
+    :func:`_fold_unary`), and ``survivors`` is its frozen sorted
+    complement, the K values every unary constraint permits.
 
-    ``fused`` is the word-wide AND of every binary mask (``None`` when
-    the grammar has no binary constraints).
-    Maruyama's eliminations are monotone and order-independent up to the
-    fixpoint, so the no-trace fast path may apply this one combined mask
-    and run a single consistency fixpoint instead of interleaving
-    ``k_b`` mask applications with ``k_b`` full sweeps — bit-identical
-    at the fixpoint, ~``k_b``x fewer sweeps.
+    ``fused`` is the survivors' rows of the AND of every binary
+    constraint's orientation-symmetrized permitted mask (``permitted &
+    permitted.T``), packed in the template's layout as a ``(K,
+    n_words)`` uint64 array whose bits lie only in survivor columns;
+    ``None`` when the grammar has no binary constraint.  Only the K x K
+    block is evaluated: once the fold is killed, every row and column
+    outside it is zero, and an AND cannot set a bit, so no entry outside
+    the block is ever read.  Maruyama's eliminations are monotone and
+    order-independent up to the fixpoint, so the fused schedule may AND
+    this one block and run a single consistency fixpoint instead of
+    interleaving ``k_b`` mask applications with ``k_b`` full sweeps —
+    bit-identical at the fixpoint.
 
-    Prefix-extended templates build ``unary`` and ``fused`` eagerly but
-    defer the per-constraint ``binary`` tuple behind *binary_thunk*: the
-    fused fast path never reads it, and materializing ``k_b`` full
-    ``(NV, NV)`` masks is the dominant cost of an extension step.  The
-    first ``binary`` access (the per-constraint schedule, the process
-    store, introspection) evaluates and memoizes them.
-
-    ``unary_fold`` is the fused path's unary phase: one dead set plus
-    the counter total, derived lazily from ``unary`` alone.
+    ``binary[i]`` is the i-th binary constraint's symmetrized mask over
+    all NV^2 pairs, packed as an ``(NV, n_words)`` array.  Only the
+    per-constraint schedule (a trace hook or ``filter_limit``) and
+    introspection read it, so *binary_thunk* evaluates it on first
+    access and the result is memoized.
     """
 
-    __slots__ = ("unary", "_binary", "_binary_thunk", "fused", "_unary_fold")
+    __slots__ = ("unary", "unary_fold", "survivors", "fused", "_binary", "_binary_thunk")
 
     def __init__(
         self,
         unary: tuple[np.ndarray, ...],
-        binary: "tuple[np.ndarray, ...] | None",
-        fused: np.ndarray | None = None,
-        binary_thunk: "Callable[[], tuple[np.ndarray, ...]] | None" = None,
+        unary_fold: UnaryFold,
+        survivors: np.ndarray,
+        fused: np.ndarray | None,
+        binary_thunk: "Callable[[], tuple[np.ndarray, ...]]",
     ):
-        if binary is None and binary_thunk is None:
-            raise ValueError("deferred binary masks need a binary_thunk")
         self.unary = unary
-        self._binary = binary
-        self._binary_thunk = binary_thunk
+        self.unary_fold = unary_fold
+        self.survivors = survivors
         self.fused = fused
-        self._unary_fold: UnaryFold | None = None
-
-    @property
-    def unary_fold(self) -> UnaryFold:
-        """The unary rounds of a fresh bind as one dead set (lazy, frozen).
-
-        Every bind starts fully alive, so the per-constraint rounds end
-        in a template constant: the values the AND of ``unary`` rejects,
-        and a ``unary_checks`` total that sums the alive count each
-        round starts from.  Killing the set at once leaves the same
-        bits, since a kill only zeroes a value's row and column.
-        """
-        if self._unary_fold is None:
-            alive = np.ones_like(self.unary[0]) if self.unary else np.ones(0, dtype=bool)
-            checks = 0
-            for permitted in self.unary:
-                checks += int(np.count_nonzero(alive))
-                alive &= permitted
-            self._unary_fold = UnaryFold(_frozen(np.flatnonzero(~alive)), checks)
-        return self._unary_fold
-
-    @property
-    def unary_folded(self) -> bool:
-        """True once ``unary_fold`` has been computed."""
-        return self._unary_fold is not None
+        self._binary: tuple[np.ndarray, ...] | None = None
+        self._binary_thunk = binary_thunk
 
     @property
     def binary(self) -> tuple[np.ndarray, ...]:
         if self._binary is None:
-            self._binary = tuple(self._binary_thunk())  # type: ignore[misc]
-            self._binary_thunk = None
+            self._binary = self._binary_thunk()
         return self._binary
 
     @property
     def binary_materialized(self) -> bool:
-        """True once ``binary`` has been (or was eagerly) computed."""
+        """True once ``binary`` has been evaluated."""
         return self._binary is not None
 
 
@@ -158,10 +186,7 @@ class NetworkTemplate:
         category_sets: ShapeKey,
         *,
         base_bits: np.ndarray | None = None,
-        prefix: "NetworkTemplate | None" = None,
     ):
-        if prefix is not None and base_bits is not None:
-            raise NetworkError("pass either a prefix template or precomputed base_bits")
         self.grammar = grammar
         self.category_sets: ShapeKey = tuple(category_sets)
         n = len(self.category_sets)
@@ -207,15 +232,7 @@ class NetworkTemplate:
         # caller holding an already-packed copy — a worker process
         # attaching a SharedTemplateStore block — passes it in and skips
         # the quadratic recompute; everything above this point is O(NV).
-        self.bit_layout = (
-            BitLayout(self.role_slices)
-            if prefix is None
-            else prefix.bit_layout.extend(self.role_slices)
-        )
-        self.prefix_map: np.ndarray | None = None
-        self.prefix_new: np.ndarray | None = None
-        if prefix is not None:
-            self._extend_maps(prefix)
+        self.bit_layout = BitLayout(self.role_slices)
         if base_bits is None:
             same_role = self.role_index[:, None] == self.role_index[None, :]
             base = ~same_role
@@ -282,19 +299,23 @@ class NetworkTemplate:
         compiled: CompiledGrammar,
         *,
         base_bits: np.ndarray,
-        masks: VectorMasks,
+        unary: tuple[np.ndarray, ...],
+        fused: np.ndarray | None,
     ) -> "NetworkTemplate":
         """Rebuild a template around arrays attached from shared memory.
 
         The cheap O(NV) skeleton (role-value enumeration, field arrays,
-        category and segment tables) is recomputed locally; the O(NV^2)
-        ``base_bits`` and the constraint masks — the expensive artifacts
-        — come in as read-only views over a
+        category and segment tables) and the unary fold with its survivors
+        are recomputed locally; ``base_bits``, the unary vectors and the
+        fused block come in as read-only views over a
         :class:`~repro.parallel.shared.SharedTemplateStore` block, so a
-        worker process never recomputes or copies them.
+        worker process never re-evaluates a constraint for the fused
+        schedule.  ``binary`` stays lazy, as on the exporter.
         """
         template = cls(grammar, category_sets, base_bits=base_bits)
-        template._masks = masks
+        fold, survivors = _fold_unary(unary, template.nv)
+        thunk = template._lazy_binary(compiled)
+        template._masks = VectorMasks(unary, fold, survivors, fused, thunk)
         template._masks_for = compiled
         return template
 
@@ -303,177 +324,21 @@ class NetworkTemplate:
         """The per-grammar cache key: the sentence's category signature."""
         return self.category_sets
 
-    # -- prefix extension (the streaming build path) -----------------------
+    # -- streaming ---------------------------------------------------------
 
-    def _extend_maps(self, prefix: "NetworkTemplate") -> None:
-        """Carry the old-to-new index maps of a one-word extension.
+    def extend(self, category_set: frozenset[int]) -> "NetworkTemplate":
+        """The (n+1)-word template: this shape plus one word.
 
-        Extending the sentence interleaves fresh role values between the
-        surviving ones: each old role gains its ``mod = n`` candidates
-        and the new word adds whole roles.  Enumeration is ordered by
-        (position, role, label, mod), so the survivors are exactly the
-        values with ``pos != n and mod != n``, in preserved order — two
-        vectorized comparisons, no per-value hashing.  The maps are
-        stored as ``prefix_map`` / ``prefix_new`` for mask extension.
-
-        The base matrix is *not* scattered from the prefix: it is pure
-        position/role arithmetic, and at sentence-sized NV the
-        vectorized formula is cheaper than moving the old packed block.
-        The expensive carried artifacts are the constraint masks
-        (:meth:`_extend_masks`).
+        A plain construction of the longer shape.  Nothing crosses from
+        this template: the masks are unary-first (:meth:`vector_masks`),
+        so a fresh evaluation costs less than carrying the prefix's
+        masks into the new layout.  It calls the constructor, not
+        :meth:`build`, so a stream step is one template construction,
+        which ``ParserSession.template_builds()`` counts as ``extended``.
         """
-        if prefix.grammar is not self.grammar:
-            raise NetworkError("prefix template was built under a different grammar")
-        if prefix.category_sets != self.category_sets[:-1]:
-            raise NetworkError(
-                "prefix template shape is not a one-word prefix of this shape "
-                f"(n={prefix.n_words} vs n={self.n_words})"
-            )
-        old = (self.pos != self.n_words) & (self.mod != self.n_words)
-        idx_map = np.nonzero(old)[0]
-        if idx_map.size != prefix.nv:
-            raise NetworkError(
-                "extension did not preserve the prefix's role values "
-                f"({idx_map.size} surviving vs {prefix.nv} expected)"
-            )
-        self.prefix_map = _frozen(idx_map)
-        self.prefix_new = _frozen(np.nonzero(~old)[0])
-
-    def extend(
-        self, category_set: frozenset[int], *, compiled: CompiledGrammar | None = None
-    ) -> "NetworkTemplate":
-        """The (n+1)-word template sharing this n-word template's work.
-
-        When *compiled* is given and this template has already evaluated
-        its vector masks for it, the unary vectors and the fused binary
-        AND are extended instead of re-evaluated: old entries are
-        scattered through the preserved-order index maps, and only the
-        cross strips where at least one side is a new role value are
-        evaluated.  The per-constraint binary masks stay deferred — the
-        fused fast path never reads them, and a non-fused consumer
-        triggers a full evaluation on first access.  Nothing reachable
-        from the predecessor is mutated — extension only reads frozen
-        state.
-        """
-        extended = NetworkTemplate(
-            self.grammar,
-            self.category_sets + (frozenset(category_set),),
-            prefix=self,
+        return NetworkTemplate(
+            self.grammar, self.category_sets + (frozenset(category_set),)
         )
-        if compiled is not None and self._masks is not None and self._masks_for is compiled:
-            extended._extend_masks(self, compiled)
-        return extended
-
-    #: Below this many *saved* pair evaluations an incremental mask
-    #: extension loses to the plain full evaluation: the scatter
-    #: bookkeeping (index maps, strip assigns, fused unpack/repack) has
-    #: a fixed cost that small prefixes never amortize.  Expressed in
-    #: matrix elements; tuned on the english grammar's n <= 10 sweep.
-    _EXTEND_MIN_SAVED_PAIRS = 16384
-
-    def _extend_masks(self, prefix: "NetworkTemplate", compiled: CompiledGrammar) -> None:
-        """Extend *prefix*'s cached vector masks into this template.
-
-        Constraint evaluation is elementwise over the field arrays and
-        the category table, and the old values' fields (and ``canbe``
-        rows) are unchanged by extension, so the prefix's evaluations
-        are scattered verbatim; only the rectangular blocks where at
-        least one side is a new role value are evaluated.  Bit-identical
-        to :meth:`vector_masks` from scratch — a test invariant.
-
-        Small shapes fall back to the plain full evaluation: the cross
-        region (``2 * new * NV`` of ``NV^2`` pairs) must undercut the
-        full matrix by enough to pay for the scatter bookkeeping.  The
-        template is still a prefix *extension* either way — the index
-        maps are untouched; only the mask computation strategy switches.
-        """
-        from repro.constraints.vector import VectorEnv
-
-        idx_map = self.prefix_map
-        new_idx = self.prefix_new
-        saved = self.nv * self.nv - 2 * new_idx.size * self.nv
-        if saved < self._EXTEND_MIN_SAVED_PAIRS:
-            self._compute_masks_full(compiled)
-            return
-
-        old_masks = prefix._masks
-        fields = self._field_arrays()
-        new_fields = {k: v[new_idx] for k, v in fields.items()}
-        unary_env = VectorEnv(x=new_fields, y=None, canbe=self.canbe_array)
-        unary: list[np.ndarray] = []
-        if compiled.unary:
-            # One batched scatter for every unary constraint: the old
-            # vectors land through idx_map, only new values are evaluated.
-            unary_all = np.zeros((len(compiled.unary), self.nv), dtype=bool)
-            unary_all[:, idx_map] = old_masks.unary
-            for i, cc in enumerate(compiled.unary):
-                unary_all[i, new_idx] = np.broadcast_to(cc.vector(unary_env), new_idx.shape)
-            unary = [_frozen(row) for row in unary_all]
-
-        # The new entries of a symmetrized mask (permitted & permitted.T)
-        # need both orientations of the cross: rows = (new x, all y) and
-        # the transpose of (all x, new y).  The sym-AND distributes over
-        # the per-constraint fold — AND_c [c(i,j) & c(j,i)] equals
-        # [AND_c c(i,j)] & [AND_c c(j,i)] — so each orientation is
-        # folded separately and combined once; the column strip then
-        # only needs the *old* x side (the prefix's own field arrays,
-        # direct views), because the new-by-new corner is already in the
-        # row fold.  Rectangular broadcast envs keep the field arrays as
-        # cheap views — no O(new * NV) gathers.
-        row_env = VectorEnv(
-            x={k: v[:, None] for k, v in new_fields.items()},
-            y={k: v[None, :] for k, v in fields.items()},
-            canbe=self.canbe_array,
-        )
-        col_env = VectorEnv(
-            x={k: v[:, None] for k, v in prefix._field_arrays().items()},
-            y={k: v[None, :] for k, v in new_fields.items()},
-            canbe=self.canbe_array,
-        )
-        shape = (new_idx.size, self.nv)
-        old_shape = (idx_map.size, new_idx.size)
-        fused: np.ndarray | None = None
-        binary: tuple[np.ndarray, ...] | None = ()
-        binary_thunk = None
-        if compiled.binary:
-            # Only the FUSED mask is materialized in the extended
-            # layout: the per-constraint cross strips are AND-folded as
-            # they are evaluated, the prefix's fused block is scattered
-            # through idx_map, and one pack covers the result.  The
-            # per-constraint tuple stays deferred (``binary_thunk``) —
-            # scattering k_b full (NV, NV) masks costs more than the
-            # whole rest of the extension, and the fused fast path
-            # never reads them.
-            rows_acc: np.ndarray | None = None
-            cols_acc: np.ndarray | None = None
-            for cc in compiled.binary:
-                rows = np.broadcast_to(cc.vector(row_env), shape)
-                cols = np.broadcast_to(cc.vector(col_env), old_shape)
-                if rows_acc is None:
-                    rows_acc, cols_acc = rows.copy(), cols.copy()
-                else:
-                    rows_acc &= rows
-                    cols_acc &= cols
-            acc = rows_acc
-            corner = acc[:, new_idx]  # fancy index: a copy of the pure row fold
-            acc[:, idx_map] &= cols_acc.T
-            acc[:, new_idx] = corner & corner.T
-            sym = np.zeros((self.nv, self.nv), dtype=bool)
-            sym[np.ix_(idx_map, idx_map)] = bitset.unpack_rows(
-                old_masks.fused, prefix.bit_layout
-            )
-            sym[new_idx, :] = acc
-            sym[:, new_idx] = acc.T
-            fused = _frozen(bitset.pack_rows(sym, self.bit_layout))
-            binary = None
-            binary_thunk = functools.partial(self._binary_masks_packed, compiled)
-        self._masks = VectorMasks(
-            unary=tuple(unary),
-            binary=binary,
-            fused=fused,
-            binary_thunk=binary_thunk,
-        )
-        self._masks_for = compiled
 
     # -- binding -----------------------------------------------------------
 
@@ -526,30 +391,31 @@ class NetworkTemplate:
 
         Pure functions of (fields, category table) — i.e. of the
         template — so they are computed once and replayed for every
-        sentence of this shape.  The first call per template pays the
-        full evaluation cost; this is exactly the work the naive
-        per-call parse path repeats for every sentence.
+        sentence of this shape.  Unary first: the unary vectors are
+        evaluated over all NV values and folded into the survivor set,
+        then the binary constraints only over the survivors' K x K
+        block, AND-folded as they are evaluated and packed once.  The
+        per-constraint binary masks stay lazy (``VectorMasks.binary``).
         """
         if self._masks is not None and self._masks_for is compiled:
             return self._masks
-        self._compute_masks_full(compiled)
-        return self._masks
-
-    def _compute_masks_full(self, compiled: CompiledGrammar) -> None:
-        """Evaluate and cache the masks over all O(NV^2) pairs."""
         from repro.constraints.vector import VectorEnv
 
-        unary_env = VectorEnv(x=self._field_arrays(), y=None, canbe=self.canbe_array)
+        fields = self._field_arrays()
+        unary_env = VectorEnv(x=fields, y=None, canbe=self.canbe_array)
         unary = tuple(_frozen(cc.vector(unary_env)) for cc in compiled.unary)
-        binary = self._binary_masks_packed(compiled)
+        fold, survivors = _fold_unary(unary, self.nv)
         fused: np.ndarray | None = None
-        if binary:
-            acc = binary[0].copy()
-            for mask in binary[1:]:
-                acc &= mask
-            fused = _frozen(acc)
-        self._masks = VectorMasks(unary=unary, binary=binary, fused=fused)
+        if compiled.binary:
+            env = _pair_env({k: v[survivors] for k, v in fields.items()}, self.canbe_array)
+            acc = np.ones((survivors.size, survivors.size), dtype=bool)
+            for cc in compiled.binary:
+                acc &= cc.vector(env)
+            # AND_c [p_c & p_c.T] equals [AND_c p_c] & [AND_c p_c].T
+            fused = _frozen(bitset.pack_rows(acc & acc.T, self.bit_layout, columns=survivors))
+        self._masks = VectorMasks(unary, fold, survivors, fused, self._lazy_binary(compiled))
         self._masks_for = compiled
+        return self._masks
 
     def _field_arrays(self) -> dict[str, np.ndarray]:
         """The role-value field arrays, keyed as constraint variables."""
@@ -561,26 +427,11 @@ class NetworkTemplate:
             "mod": self.mod,
         }
 
-    def _binary_masks_packed(self, compiled: CompiledGrammar) -> tuple[np.ndarray, ...]:
-        """Symmetrized packed masks of every binary constraint, full eval.
-
-        Shared by :meth:`vector_masks` and by the deferred ``binary``
-        of an extended template (:meth:`_extend_masks`), where it runs
-        only if a non-fused consumer actually asks for the tuple.
-        """
-        from repro.constraints.vector import VectorEnv
-
-        fields = self._field_arrays()
-        pair_env = VectorEnv(
-            x={k: v[:, None] for k, v in fields.items()},
-            y={k: v[None, :] for k, v in fields.items()},
-            canbe=self.canbe_array,
+    def _lazy_binary(self, compiled: CompiledGrammar) -> "Callable[[], tuple[np.ndarray, ...]]":
+        """The thunk that evaluates ``VectorMasks.binary`` on first access."""
+        return functools.partial(
+            _binary_masks_packed, self._field_arrays(), self.canbe_array, self.bit_layout, compiled
         )
-        binary: list[np.ndarray] = []
-        for cc in compiled.binary:
-            permitted = cc.vector(pair_env)
-            binary.append(_frozen(bitset.pack_rows(permitted & permitted.T, self.bit_layout)))
-        return tuple(binary)
 
     def scratch_bits(self) -> np.ndarray:
         """A reusable packed ``(NV, n_words)`` buffer for consistency sweeps.
@@ -600,15 +451,16 @@ class NetworkTemplate:
 
         Memoized per lazy-artifact state: sessions report cache bytes on
         every parse/extend, and the arrays counted here are frozen — the
-        total only changes when a lazy artifact appears (or deferred
-        binary masks materialize), which the state key captures.
+        total only changes when a lazy artifact appears, which the state
+        key captures.  The per-constraint binary masks count only once
+        evaluated, and accounting never evaluates them.
         """
+        masks = self._masks
         state = (
             self._base_bool is not None,
             self._scratch_bits is not None,
-            self._masks is not None,
-            self._masks is not None and self._masks.binary_materialized,
-            self._masks is not None and self._masks.unary_folded,
+            masks is not None,
+            masks is not None and masks.binary_materialized,
         )
         if self._nbytes_cache is not None and self._nbytes_cache[0] == state:
             return self._nbytes_cache[1]
@@ -620,16 +472,13 @@ class NetworkTemplate:
             total += self._base_bool.nbytes
         if self._scratch_bits is not None:
             total += self._scratch_bits.nbytes
-        if self._masks is not None:
-            total += sum(m.nbytes for m in self._masks.unary)
-            if self._masks.binary_materialized:
-                # Deferred binary masks of an extended template are not
-                # resident (and must not be materialized by accounting).
-                total += sum(m.nbytes for m in self._masks.binary)
-            if self._masks.fused is not None:
-                total += self._masks.fused.nbytes
-            if self._masks.unary_folded:
-                total += self._masks.unary_fold.dead.nbytes
+        if masks is not None:
+            total += sum(m.nbytes for m in masks.unary)
+            total += masks.unary_fold.dead.nbytes + masks.survivors.nbytes
+            if masks.fused is not None:
+                total += masks.fused.nbytes
+            if masks.binary_materialized:
+                total += sum(m.nbytes for m in masks.binary)
         self._nbytes_cache = (state, total)
         return total
 

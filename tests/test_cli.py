@@ -157,6 +157,8 @@ class TestArgumentValidation:
             ["cluster", "shard", "--workers", "0"],
             ["cluster", "shard", "--max-batch-size", "0"],
             ["cluster", "shard", "--max-linger", "-0.5"],
+            ["cluster", "shard", "--port", "-1"],
+            ["cluster", "shard", "--port", "70000"],
             ["cluster", "up", "--workers", "0"],
             ["cluster", "up", "--workers", "two"],
             ["cluster", "bench"],  # retired: the e2e cluster-open workload times the cluster

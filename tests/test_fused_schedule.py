@@ -1,24 +1,31 @@
 """The fused vector schedule against its reference, bit for bit.
 
 With no trace hook and no filter limit, ``VectorEngine`` kills the
-template's folded unary dead set at once, ANDs the fused binary mask,
-and settles consistency on the block of values still alive.  The
-reference spells the unfolded schedule out: the engine's per-constraint
-unary rounds (one kill per unary vector), the fused mask, and
-``run_filtering`` (the full-width sweep to quiescence).  Both must
-leave the same packed bits, the same verdicts and the same six
-deterministic counters; the ``serial`` engine checks the bits
-independently.
+template's folded unary dead set at once, ANDs the fused binary mask
+into the K unary survivors' rows (the template evaluated the binary
+constraints only over their K x K block), and settles consistency on
+the block of values still alive.  The reference shares none of those
+artifacts: it runs the engine's per-constraint unary rounds (one kill
+per unary vector), ANDs each per-constraint binary mask over all NV^2
+pairs in turn (``VectorMasks.binary``), and runs ``run_filtering`` (the
+full-width sweep to quiescence).  Both must leave the same packed bits,
+the same verdicts and the same six deterministic counters; the summed
+per-constraint zeroed counts must equal the fused AND's.  The
+``serial`` engine checks the bits independently, and a traced and a
+filter-limited parse on the same template (the per-constraint
+schedule, which evaluates ``binary`` lazily) must settle to them too.
 
 The sweep covers english sentences (random and scrambled) and random
-grammars, and counts the corners it reached: every value killed by the
-unary phase, and a role emptied during the fixpoint.  The random sweep
-runs twice: with the alive-share selection between the block and the
-full-width sweep, and with the block forced.  Two hand-built grammars
-add what the random ones do not produce: a structurally empty role, and
-no binary constraints at all (``masks.fused is None``, where the
-per-constraint path still runs).  A network with kills before the
-engine runs checks that the fold's fresh-bind counters are not used.
+grammars, and counts the corners it reached: no unary survivor (K = 0),
+every value a unary survivor (K = NV), and a role emptied during the
+fixpoint.  The random sweep runs twice: with the alive-share selection
+between the block and the full-width sweep, and with the block forced.
+Hand-built grammars add what the random ones do not produce reliably: a
+structurally empty role, binary constraints with no unary one (K = NV
+on every sentence), and no binary constraints at all (``masks.fused is
+None``, where the per-constraint path still runs).  A network with
+kills before the engine runs checks that the fold's fresh-bind counters
+are not used.
 """
 
 from __future__ import annotations
@@ -51,23 +58,22 @@ class Corners:
     """Edge cases a sweep reached."""
 
     parses: int = 0
-    unary_killed_all: int = 0
+    no_survivors: int = 0  # K = 0: the unary phase killed every value
+    all_survive: int = 0  # K = NV: the unary phase killed nothing
     role_emptied_by_fixpoint: int = 0
 
 
 def reference_run(session: ParserSession, network):
-    """Run the unfolded fused schedule on *network*.
+    """Run the unfolded schedule on *network*, one binary mask at a time.
 
-    Returns its counters, whether the unary phase killed every value,
-    and the verdict before the fixpoint.
+    Returns its counters, the values alive after the unary rounds, and
+    the verdict before the fixpoint.
     """
     masks = network.template.vector_masks(session.compiled)
     unary = EngineStats()
     VectorEngine._unary_rounds(network, masks=masks, compiled=session.compiled, stats=unary)
-    unary_killed_all = network.alive_count() == 0
-    zeroed = 0
-    if masks.fused is not None:
-        zeroed = network.apply_pair_mask_bits(masks.fused)
+    survivors = np.flatnonzero(network.alive)
+    zeroed = sum(network.apply_pair_mask_bits(mask) for mask in masks.binary)
     nonempty_before_fixpoint = network.all_domains_nonempty()
     fixpoint = run_filtering(network)
     counters = {
@@ -78,7 +84,7 @@ def reference_run(session: ParserSession, network):
         "consistency_passes": fixpoint.consistency_passes,
         "filtering_iterations": fixpoint.filtering_iterations,
     }
-    return counters, unary_killed_all, nonempty_before_fixpoint
+    return counters, survivors, nonempty_before_fixpoint
 
 
 def reference_parse(session: ParserSession, words):
@@ -86,6 +92,14 @@ def reference_parse(session: ParserSession, words):
     sent = session.tokenize(words)
     network = session.template_for(sent).bind(sent)
     return (network, *reference_run(session, network))
+
+
+def assert_same_settled_bits(result, reference, context: str) -> None:
+    for name in ("alive_bits", "matrix_bits"):
+        assert np.array_equal(
+            getattr(result.network, name), getattr(reference.network, name)
+        ), f"{name} differ: {context}"
+    assert result.locally_consistent == reference.locally_consistent, context
 
 
 def check_fused(grammar, words, corners: Corners):
@@ -99,7 +113,11 @@ def check_fused(grammar, words, corners: Corners):
     result = session.parse(words)
     fused = bool(grammar.binary_constraints)
     assert result.stats.extra.get("fused_binary_kernel", False) is fused, context
-    network, counters, unary_killed_all, nonempty_before = reference_parse(session, words)
+    masks = result.network.template.vector_masks(session.compiled)
+    if fused:
+        assert not masks.binary_materialized, f"a fused parse evaluated binary: {context}"
+    network, counters, survivors, nonempty_before = reference_parse(session, words)
+    assert np.array_equal(masks.survivors, survivors), context
     for name in ("alive_bits", "matrix_bits"):
         assert np.array_equal(
             getattr(result.network, name), getattr(network, name)
@@ -109,13 +127,15 @@ def check_fused(grammar, words, corners: Corners):
     for name in COUNTERS:
         assert getattr(result.stats, name) == counters[name], f"{name}: {context}"
     oracle = ParserSession(grammar, engine="serial").parse(words)
-    for name in ("alive_bits", "matrix_bits"):
-        assert np.array_equal(
-            getattr(result.network, name), getattr(oracle.network, name)
-        ), f"{name} differ from serial: {context}"
-    assert result.locally_consistent == oracle.locally_consistent, context
+    assert_same_settled_bits(result, oracle, f"serial, {context}")
+    # The per-constraint schedule on the same template reads ``binary``.
+    traced = session.parse(words, trace=lambda step, net: None)
+    assert_same_settled_bits(traced, result, f"trace=, {context}")
+    limited = session.parse(words, filter_limit=result.network.nv + 1)
+    assert_same_settled_bits(limited, result, f"filter_limit=, {context}")
     corners.parses += 1
-    corners.unary_killed_all += unary_killed_all
+    corners.no_survivors += survivors.size == 0
+    corners.all_survive += survivors.size == result.network.nv
     corners.role_emptied_by_fixpoint += nonempty_before and not result.locally_consistent
     return result
 
@@ -142,7 +162,7 @@ def test_random_grammars_match_the_reference(monkeypatch, max_share):
             words = random_sentence_for(grammar, rng, max_len=5)
             check_fused(grammar, words, corners)
     # The sweep only proves the corners it reaches.
-    assert corners.unary_killed_all > 0, "no sentence lost every value to unary"
+    assert corners.no_survivors > 0, "no sentence lost every value to unary (K = 0)"
     assert corners.role_emptied_by_fixpoint > 0, "no role was emptied by the fixpoint"
 
 
@@ -190,6 +210,31 @@ def test_structurally_empty_role(words):
     if has_empty:
         assert not result.locally_consistent
         assert not result.network.alive.any()
+
+
+def binary_only_grammar():
+    """Binary constraints and no unary one: every value survives (K = NV)."""
+    return (
+        GrammarBuilder("binary-only")
+        .labels("A", "B")
+        .roles("g", "n")
+        .categories("x", "y")
+        .table("g", "A", "B")
+        .table("n", "A", "B")
+        .words({"p": "x", "q": "y", "r": ("x", "y")})
+        .constraint("b", "(if (and (eq (lab x) B) (eq (lab y) B)) (lt (pos x) (pos y)))")
+        .constraint("c", "(if (eq (mod x) (pos y)) (eq (lab y) A))")
+        .build()
+    )
+
+
+def test_grammar_without_unary_constraints_keeps_every_value():
+    grammar = binary_only_grammar()
+    assert not grammar.unary_constraints and grammar.binary_constraints
+    corners = Corners()
+    for words in (["p"], ["p", "q"], ["r", "q", "p"], ["q", "r", "r", "p"]):
+        check_fused(grammar, words, corners)
+    assert corners.all_survive == corners.parses == 4
 
 
 def unary_only_grammar():

@@ -174,12 +174,24 @@ class TestSharedTemplateStore:
                 with pytest.raises(ValueError):
                     attached.base_bits[0, 0] = 0
                 masks = attached.vector_masks(session.compiled)
-                assert masks.fused is not None
-                with pytest.raises(ValueError):
-                    masks.fused[0, 0] = 0
+                exported = template.vector_masks(session.compiled)
+                assert not exported.binary_materialized  # export must not evaluate it
+                for name in ("survivors", "fused"):
+                    array = getattr(masks, name)
+                    np.testing.assert_array_equal(array, getattr(exported, name))
+                    with pytest.raises(ValueError):
+                        array[0] = 0
                 # An attached template binds and parses like the original.
                 sent = grammar.tokenize(sentence_of_length(5))
                 assert_same_network(attached.bind(sent), template.bind(sent))
+                # The per-constraint schedule evaluates ``binary`` here,
+                # lazily, since the block carries only the fused rows.
+                assert not masks.binary_materialized
+                network = attached.bind(sent)
+                session.engine.run(network, compiled=session.compiled, filter_limit=1)
+                assert masks.binary_materialized
+                parent = ParserSession(grammar, filter_limit=1).parse(sent)
+                assert_same_network(network, parent.network)
             finally:
                 shm.close()
 

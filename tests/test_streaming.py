@@ -3,13 +3,12 @@
 The load-bearing invariant: for every prefix length k of a sentence,
 ``StreamingParse.extend`` (word at a time) produces a settled network,
 verdict, and statistics **bit-identical** to a fresh
-``ParserSession.parse`` of the same k words.  The streamed parse rides
-the prefix-extended template (masks extended incrementally, never
-rebuilt) and reconstructs the pre-fixpoint state by re-applying them,
-so carrying state across words loses nothing.
+``ParserSession.parse`` of the same k words.  Each step settles the
+template that ``NetworkTemplate.extend`` built for the grown prefix,
+with its own unary-first masks; no masks cross a word.
 
-Also covered here: prefix template extension (one cumulative build per
-stream), broken-stream semantics, the service-level streaming API
+Also covered here: prefix template extension (one full build, then
+``extended`` ones), broken-stream semantics, the service-level streaming API
 (``ParseService.submit_stream``) with its owner-affinity scheduling and
 metrics conservation, and the ``repro stream`` CLI.
 """
@@ -154,16 +153,17 @@ class TestTemplateExtension:
                 template = NetworkTemplate.build(grammar, sent.category_sets)
             else:
                 previous.vector_masks(compiled)
-                template = previous.extend(sent.category_sets[-1], compiled=compiled)
+                template = previous.extend(sent.category_sets[-1])
             full = NetworkTemplate.build(grammar, sent.category_sets)
             assert np.array_equal(template.base_bits, full.base_bits)
             mine, theirs = template.vector_masks(compiled), full.vector_masks(compiled)
             for a, b in zip(mine.unary, theirs.unary, strict=True):
                 assert np.array_equal(a, b)
+            assert np.array_equal(mine.survivors, theirs.survivors)
+            assert np.array_equal(mine.fused, theirs.fused)
+            assert not mine.binary_materialized
             for a, b in zip(mine.binary, theirs.binary, strict=True):
                 assert np.array_equal(a, b)
-            if theirs.fused is not None:
-                assert np.array_equal(mine.fused, theirs.fused)
             previous = template
 
 
@@ -310,7 +310,7 @@ class TestStreamCli:
         code = cli_main(["stream", "dog", "dog"], out=out)
         assert code == 1
 
-    def test_serve_bench_streaming_smoke(self):
+    def test_serve_bench_streams_smoke(self):
         out = io.StringIO()
         code = cli_main(
             ["serve-bench", "--streaming", "--shapes", "2", "--workers", "2"],
