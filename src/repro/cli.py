@@ -28,9 +28,11 @@ Commands:
 ``--engine`` values are validated against the live registry (not a
 frozen argparse choice list), so engines registered at runtime work and
 an unknown name reports the registered ones.  Counts and durations are
-validated by argparse: a worker count, shape count or batch size below
-1, or a negative linger, is a usage error (exit 2).  Every command runs
-the one packed kernel core (:mod:`repro.kernels.backend`).
+validated by argparse before any work starts: a worker count, shape
+count, batch size or ``--max-parses`` below 1, a negative
+``--filter-limit``, a ``timing --max-n`` below 2, a port outside
+0..65535, or a negative linger is a usage error (exit 2).  Every
+command runs the one packed kernel core (:mod:`repro.kernels.backend`).
 """
 
 from __future__ import annotations
@@ -78,26 +80,21 @@ def _resolve_grammar(name: str) -> CDGGrammar:
     )
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_in(low: int, high: "int | None" = None) -> Callable[[str], int]:
+    """argparse type for counts and ports: an integer in low..high
+    (no upper bound when *high* is None)."""
 
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low or (high is not None and value > high):
+            bound = f"at least {low}" if high is None else f"in {low}..{high}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
 
-def _port(text: str) -> int:
-    """argparse type for TCP ports: an integer in 0..65535 (0 asks the OS)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if not 0 <= value <= 65535:
-        raise argparse.ArgumentTypeError(f"must be a port in 0..65535, got {value}")
-    return value
+    return parse
 
 
 def _non_negative_float(text: str) -> float:
@@ -177,8 +174,7 @@ def _cmd_parse(args: argparse.Namespace, out) -> int:
             rows.append(["simulated MP-1 time", format_seconds(stats.simulated_seconds)])
         if "network_bytes" in stats.extra:
             rows.append(["bytes/network", stats.extra["network_bytes"]])
-        if "template_cache_bytes" in stats.extra:
-            rows.append(["template cache bytes", stats.extra["template_cache_bytes"]])
+        rows.append(["template cache bytes", session.cached_bytes()])
         print(file=out)
         print(format_table(["stat", "value"], rows), file=out)
     return 0 if (parses or not args.strict) else 1
@@ -309,8 +305,8 @@ def _serve_bench_streams(args: argparse.Namespace, service, out) -> int:
         start = time.perf_counter()
         streams = [service.submit_stream() for _ in range(args.shapes)]
         futures = []
-        # Round-robin feeding interleaves every stream's tokens through
-        # one admission queue — the owner-affinity scheduling case.
+        # Round-robin feeding interleaves every stream's prefixes
+        # through one admission queue as ordinary requests.
         for word in words:
             futures.extend(stream.feed(word) for stream in streams)
         results = [future.result() for future in futures]
@@ -482,8 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_parse.add_argument("words", nargs="+", help="the sentence (words or one quoted string)")
     p_parse.add_argument("--grammar", "-g", default="english")
     p_parse.add_argument("--engine", "-e", default="vector", help=engine_help)
-    p_parse.add_argument("--max-parses", type=int, default=5)
-    p_parse.add_argument("--filter-limit", type=int, default=None)
+    p_parse.add_argument("--max-parses", type=_int_in(1), default=5)
+    p_parse.add_argument("--filter-limit", type=_int_in(0), default=None)
     p_parse.add_argument("--network", action="store_true", help="print the settled CN")
     p_parse.add_argument("--stats", action="store_true", help="print engine statistics")
     p_parse.add_argument(
@@ -501,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_grammars.set_defaults(func=_cmd_grammars)
 
     p_timing = sub.add_parser("timing", help="simulated MasPar timing sweep")
-    p_timing.add_argument("--max-n", type=int, default=12)
+    p_timing.add_argument("--max-n", type=_int_in(2), default=12)
     p_timing.set_defaults(func=_cmd_timing)
 
     p_figures = sub.add_parser("figures", help="replay the paper's worked example")
@@ -515,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="grammar whose lexicon covers the workload generator "
                               "(english / english-extended)")
     p_serve.add_argument("--engine", "-e", default="vector", help=engine_help)
-    p_serve.add_argument("--workers", "-w", type=_positive_int, default=2)
+    p_serve.add_argument("--workers", "-w", type=_int_in(1), default=2)
     p_serve.add_argument("--workers-mode", choices=("thread", "process"),
                          default="thread",
                          help="thread workers (GIL-shared) or process workers "
@@ -525,9 +521,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="multiprocessing start method for --workers-mode=process "
                               "(default: fork where available)")
     p_serve.add_argument("--requests", "-n", type=int, default=64)
-    p_serve.add_argument("--shapes", type=_positive_int, default=4,
+    p_serve.add_argument("--shapes", type=_int_in(1), default=4,
                          help="distinct sentence shapes interleaved in the load")
-    p_serve.add_argument("--batch-size", type=_positive_int, default=16,
+    p_serve.add_argument("--batch-size", type=_int_in(1), default=16,
                          help="dynamic batcher flush size")
     p_serve.add_argument("--streaming", action="store_true",
                          help="drive word-at-a-time streams (one per --shapes) "
@@ -565,12 +561,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_shard.add_argument("--grammar", "-g", default="english")
     p_shard.add_argument("--engine", "-e", default="vector", help=engine_help)
     p_shard.add_argument("--host", default="127.0.0.1")
-    p_shard.add_argument("--port", type=_port, default=0,
+    p_shard.add_argument("--port", type=_int_in(0, 65535), default=0,
                          help="TCP port; 0 asks the OS (announced via --port-file)")
     p_shard.add_argument("--shard-id", type=int, default=0)
-    p_shard.add_argument("--workers", "-w", type=_positive_int, default=1)
+    p_shard.add_argument("--workers", "-w", type=_int_in(1), default=1)
     p_shard.add_argument("--workers-mode", choices=("thread", "process"), default="thread")
-    p_shard.add_argument("--max-batch-size", type=_positive_int, default=16)
+    p_shard.add_argument("--max-batch-size", type=_int_in(1), default=16)
     p_shard.add_argument("--max-linger", type=_non_negative_float, default=0.002,
                          help="dynamic batcher max linger (seconds)")
     p_shard.add_argument("--log", default=None, help="structured shard log path")
@@ -584,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_up.add_argument("--grammar", "-g", default="english")
     p_up.add_argument("--engine", "-e", default="vector", help=engine_help)
     p_up.add_argument("--shards", type=int, default=2)
-    p_up.add_argument("--workers", "-w", type=_positive_int, default=1,
+    p_up.add_argument("--workers", "-w", type=_int_in(1), default=1,
                       help="service workers per shard")
     p_up.add_argument("--workers-mode", choices=("thread", "process"), default="thread")
     p_up.add_argument("--run-dir", default=None,

@@ -8,7 +8,10 @@ to one of N :class:`ParseServer` shards (each fronting its own
 plane is per-shard), speaks a length-prefixed binary wire protocol
 with per-request deadline budgets, and rebinds the packed verdict bits
 it gets back into full results that are bit-identical to an in-process
-parse.  A :class:`ClusterLauncher` runs shards as subprocesses with a
+parse.  Its ``submit_stream()`` returns the service's
+:class:`~repro.serve.ServiceStream`, so a stream is a sequence of
+ordinary requests, each grown prefix routed by its own shape.  A
+:class:`ClusterLauncher` runs shards as subprocesses with a
 start/drain/shutdown lifecycle, and :class:`ClusterLogParser` merges
 the per-shard logs into one throughput and latency summary.
 """
@@ -23,7 +26,7 @@ from repro.cluster.errors import (
 from repro.cluster.launcher import ClusterLauncher
 from repro.cluster.logs import ClusterLogParser
 from repro.cluster.ring import HashRing, hash_key
-from repro.cluster.router import ClusterClient, ClusterStream, ShardRouter
+from repro.cluster.router import ClusterClient, ShardRouter
 from repro.cluster.server import ParseServer
 
 __all__ = [
@@ -37,7 +40,6 @@ __all__ = [
     "ParseServer",
     "ShardRouter",
     "ClusterClient",
-    "ClusterStream",
     "ClusterLauncher",
     "ClusterLogParser",
 ]

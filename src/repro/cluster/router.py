@@ -5,7 +5,8 @@ out — and :class:`ClusterClient` is the data plane around it: one TCP
 connection per shard, a background asyncio loop on a daemon thread, and
 a synchronous facade (`submit` / `parse_many` / `submit_stream`) that
 mirrors :class:`~repro.serve.ParseService` so call sites migrate by
-swapping the constructor.
+swapping the constructor; `submit_stream` returns the same
+:class:`~repro.serve.ServiceStream` handle.
 
 Three design points carry the correctness weight:
 
@@ -60,11 +61,16 @@ from repro.cluster.wire import (
     write_frame,
 )
 from repro.engines.base import ParseResult
-from repro.errors import LexiconError, StreamError
+from repro.errors import LexiconError
 from repro.grammar.grammar import CDGGrammar, Sentence
 from repro.parallel.pool import WireResult, materialize_result
 from repro.pipeline.session import ParserSession
-from repro.serve import DeadlineExceeded, ServiceOverloaded, ServiceUnavailable
+from repro.serve import (
+    DeadlineExceeded,
+    ServiceOverloaded,
+    ServiceStream,
+    ServiceUnavailable,
+)
 
 _UNSET = object()
 
@@ -74,7 +80,6 @@ _KIND_ERRORS = {
     "overloaded": ServiceOverloaded,
     "unavailable": ServiceUnavailable,
     "lexicon": LexiconError,
-    "stream": StreamError,
     "wire": WireError,
 }
 
@@ -117,13 +122,12 @@ class ShardRouter:
 class _Pending:
     """One in-flight request: reply routing plus materialization inputs."""
 
-    __slots__ = ("rid", "future", "sentence", "stream", "conn", "deadline")
+    __slots__ = ("rid", "future", "sentence", "conn", "deadline")
 
-    def __init__(self, rid, future, sentence=None, stream=None, conn=None, deadline=None):
+    def __init__(self, rid, future, sentence=None, conn=None, deadline=None):
         self.rid = rid
         self.future = future
         self.sentence = sentence
-        self.stream = stream
         self.conn = conn
         self.deadline = deadline
 
@@ -139,52 +143,6 @@ class _ShardConn:
         self.writer = None
         self.task = None
         self.dead = False
-
-
-class ClusterStream(object):
-    """A word-at-a-time parse riding one shard's :class:`ServiceStream`.
-
-    ``feed(word)`` returns a future whose result is the parse of the
-    whole prefix fed so far, bit-identical to the in-process stream.
-    The shard settles packed bits; the client grows the matching prefix
-    template chain (``template_for(..., prefix=last)``) to rebind them,
-    so template reuse stays incremental on both ends of the wire.
-    """
-
-    def __init__(self, client: "ClusterClient", sid: int, address: str):
-        self._client = client
-        self.stream_id = sid
-        self.address = address
-        self._words: list[str] = []
-        self._template = None  # grown on the loop thread, reply by reply
-        self._closed = False
-
-    def feed(self, word: str, *, timeout=_UNSET) -> "Future[ParseResult]":
-        """Feed one word; the future resolves to the grown prefix's result."""
-        if self._closed:
-            raise StreamError("cannot feed a closed cluster stream")
-        if not isinstance(word, str) or not word:
-            raise StreamError(f"stream words must be non-empty strings, got {word!r}")
-        self._words.append(word)
-        sentence = self._client.grammar.tokenize(list(self._words))
-        return self._client._send_feed(self, sentence, word, timeout)
-
-    def close(self) -> None:
-        """Close the shard-side stream (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        self._client._send_stream_close(self)
-
-    @property
-    def words(self) -> tuple[str, ...]:
-        return tuple(self._words)
-
-    def __enter__(self) -> "ClusterStream":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 class ClusterClient:
@@ -228,8 +186,6 @@ class ClusterClient:
             grammar, engine=engine, template_cache_size=template_cache_size
         )
         self._ids = itertools.count(1)
-        self._stream_ids = itertools.count(1)
-        self._stream_rr = itertools.count()
         self._pending: dict[int, _Pending] = {}
         self._conns: dict[str, _ShardConn] = {}
         self._closed = False
@@ -358,13 +314,7 @@ class ClusterClient:
             ambiguous=bool(message["ambiguous"]),
             stats=unpack_stats(message["stats"]),
         )
-        if entry.stream is not None:
-            template = self._session.template_for(
-                entry.sentence, prefix=entry.stream._template
-            )
-            entry.stream._template = template
-        else:
-            template = self._session.template_for(entry.sentence)
+        template = self._session.template_for(entry.sentence)
         entry.future.set_result(materialize_result(template, entry.sentence, wire))
 
     async def _send_async(self, address: str, message: dict, entry: _Pending) -> None:
@@ -438,44 +388,17 @@ class ClusterClient:
         futures = [self.submit(sentence, timeout=timeout) for sentence in sentences]
         return [future.result() for future in futures]
 
-    def submit_stream(self, *, timeout: float = 30.0) -> ClusterStream:
-        """Open a streaming session on one shard (round-robin placement).
+    def submit_stream(self) -> ServiceStream:
+        """Open a word-at-a-time parse over this client.
 
-        A stream's shape changes with every word, so hash placement
-        would hop shards mid-sentence; streams instead pin to one shard
-        chosen round-robin and grow their template chain there.
+        Each ``feed(word)`` submits the grown prefix through
+        :meth:`submit` (see :class:`~repro.serve.ServiceStream`), so
+        every prefix routes by its own shape like any request; no shard
+        holds stream state.
         """
         if self._closed:
             raise ServiceUnavailable("cluster client is closed")
-        addresses = self.router.addresses
-        address = addresses[next(self._stream_rr) % len(addresses)]
-        stream = ClusterStream(self, next(self._stream_ids), address)
-        future: Future = Future()
-        entry = _Pending(next(self._ids), future)
-        self._post(address, {"type": "stream_open", "id": entry.rid,
-                             "stream": stream.stream_id}, entry)
-        future.result(timeout)  # surfaces ServiceUnavailable / StreamError now
-        return stream
-
-    def _send_feed(self, stream: ClusterStream, sentence, word, timeout):
-        limit = self.default_timeout if timeout is _UNSET else timeout
-        deadline = None if limit is None else time.monotonic() + limit
-        future: Future[ParseResult] = Future()
-        entry = _Pending(next(self._ids), future, sentence=sentence,
-                         stream=stream, deadline=deadline)
-        self._post(stream.address, {"type": "stream_feed", "id": entry.rid,
-                                    "stream": stream.stream_id, "word": word,
-                                    "budget": None}, entry)
-        return future
-
-    def _send_stream_close(self, stream: ClusterStream) -> None:
-        future: Future = Future()
-        entry = _Pending(next(self._ids), future)
-        self._post(stream.address, {"type": "stream_close", "id": entry.rid,
-                                    "stream": stream.stream_id}, entry)
-        # A dead shard already tore the stream down with it.
-        with contextlib.suppress(ClusterError, TimeoutError):
-            future.result(10.0)
+        return ServiceStream(self)
 
     # -- control plane ------------------------------------------------------
 

@@ -5,10 +5,12 @@ One :class:`ParseServer` owns one :class:`~repro.serve.ParseService`
 unchanged) and fronts it on a localhost socket speaking the
 length-prefixed frame protocol of :mod:`repro.cluster.wire`.  The
 asyncio side stays thin: frames are decoded, validated, and turned into
-``service.submit`` / ``ServiceStream.feed`` calls whose futures are
-awaited as tasks, so the event loop never blocks on a parse and replies
-go out in *completion* order (request ids, not arrival order, pair
-replies to requests — the router reassembles).
+``service.submit`` calls whose futures are awaited as tasks, so the
+event loop never blocks on a parse and replies go out in *completion*
+order (request ids, not arrival order, pair replies to requests — the
+router reassembles).  A client-side stream is a sequence of ordinary
+``parse`` frames, one per grown prefix; the shard keeps no stream
+state.
 
 Deadline propagation: a request frame carries its remaining budget in
 seconds, measured by the router at *send* time.  The shard converts the
@@ -44,7 +46,7 @@ from repro.cluster.wire import (
     read_frame,
     write_frame,
 )
-from repro.errors import LexiconError, ReproError, StreamError
+from repro.errors import LexiconError, ReproError
 from repro.grammar.grammar import CDGGrammar
 from repro.serve import (
     DeadlineExceeded,
@@ -58,7 +60,6 @@ KIND_DEADLINE = "deadline"
 KIND_OVERLOADED = "overloaded"
 KIND_UNAVAILABLE = "unavailable"
 KIND_LEXICON = "lexicon"
-KIND_STREAM = "stream"
 KIND_WIRE = "wire"
 KIND_INTERNAL = "internal"
 
@@ -112,14 +113,13 @@ class ShardLog:
 class _Connection:
     """Per-connection state: serialized writes plus live reply tasks."""
 
-    __slots__ = ("conn_id", "writer", "write_lock", "tasks", "streams")
+    __slots__ = ("conn_id", "writer", "write_lock", "tasks")
 
     def __init__(self, conn_id: int, writer: asyncio.StreamWriter):
         self.conn_id = conn_id
         self.writer = writer
         self.write_lock = asyncio.Lock()
         self.tasks: set[asyncio.Task] = set()
-        self.streams: dict = {}  # client stream id -> ServiceStream
 
 
 class ParseServer:
@@ -318,9 +318,6 @@ class ParseServer:
                     await self._handle_frame(conn, payload)
         finally:
             self._connections.discard(conn)
-            for stream in conn.streams.values():
-                stream.close()
-            conn.streams.clear()
             self.log.write("disconnect", conn=conn.conn_id)
             writer.close()
             with contextlib.suppress(ConnectionResetError, BrokenPipeError, OSError):
@@ -338,9 +335,6 @@ class ParseServer:
             return
         handler = {
             "parse": self._on_parse,
-            "stream_open": self._on_stream_open,
-            "stream_feed": self._on_stream_feed,
-            "stream_close": self._on_stream_close,
             "ping": self._on_ping,
             "snapshot": self._on_snapshot,
             "drain": self._on_drain,
@@ -370,50 +364,6 @@ class ParseServer:
         future = self._submit(conn, rid, budget, lambda t: self.service.submit(words, timeout=t))
         if future is not None:
             self._spawn_reply(conn, rid, future)
-
-    async def _on_stream_open(self, conn: _Connection, message: dict) -> None:
-        rid = _field(message, "id", int)
-        sid = _field(message, "stream", int)
-        self.log.write("recv", conn=conn.conn_id, id=rid, kind="stream-open", stream=sid)
-        if sid in conn.streams:
-            await self._send(conn, _error_message(
-                rid, KIND_STREAM, f"stream {sid} is already open on this connection"
-            ))
-            return
-        try:
-            conn.streams[sid] = self.service.submit_stream()
-        except ServiceUnavailable as error:
-            await self._reject(conn, rid, KIND_UNAVAILABLE, str(error))
-            return
-        await self._send(conn, {"type": "ok", "id": rid})
-        self.log.write("done", conn=conn.conn_id, id=rid, ok=1)
-
-    async def _on_stream_feed(self, conn: _Connection, message: dict) -> None:
-        rid = _field(message, "id", int)
-        sid = _field(message, "stream", int)
-        word = _field(message, "word", str)
-        budget = message.get("budget")
-        if budget is not None and not isinstance(budget, (int, float)):
-            raise WireError("budget must be a number or None")
-        self.log.write("recv", conn=conn.conn_id, id=rid, kind="stream-feed", stream=sid)
-        stream = conn.streams.get(sid)
-        if stream is None:
-            await self._reject(conn, rid, KIND_STREAM,
-                               f"stream {sid} is not open on this connection")
-            return
-        future = self._submit(conn, rid, budget,
-                              lambda t: stream.feed(word, timeout=t))
-        if future is not None:
-            self._spawn_reply(conn, rid, future)
-
-    async def _on_stream_close(self, conn: _Connection, message: dict) -> None:
-        rid = _field(message, "id", int)
-        sid = _field(message, "stream", int)
-        stream = conn.streams.pop(sid, None)
-        if stream is not None:
-            stream.close()
-        await self._send(conn, {"type": "ok", "id": rid})
-        self.log.write("done", conn=conn.conn_id, id=rid, ok=1)
 
     async def _on_ping(self, conn: _Connection, message: dict) -> None:
         rid = _field(message, "id", int)
@@ -465,8 +415,6 @@ class ParseServer:
             self._spawn(conn, self._reject(conn, rid, KIND_UNAVAILABLE, str(error)))
         except LexiconError as error:
             self._spawn(conn, self._reject(conn, rid, KIND_LEXICON, str(error)))
-        except StreamError as error:
-            self._spawn(conn, self._reject(conn, rid, KIND_STREAM, str(error)))
         return None
 
     def _spawn(self, conn: _Connection, coro) -> None:
@@ -482,9 +430,6 @@ class ParseServer:
             result = await asyncio.wrap_future(future)
         except DeadlineExceeded as error:
             await self._reject(conn, rid, KIND_DEADLINE, str(error))
-            return
-        except StreamError as error:
-            await self._reject(conn, rid, KIND_STREAM, str(error))
             return
         except ReproError as error:
             await self._reject(conn, rid, KIND_INTERNAL,

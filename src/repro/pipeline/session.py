@@ -198,7 +198,6 @@ class ParserSession:
         # representation record their own footprint before their
         # finally-repack; default to the settled (packed) state.
         stats.extra.setdefault("network_bytes", network.state_nbytes())
-        stats.extra["template_cache_bytes"] = self.cached_bytes()
         stats.extra.setdefault("kernel_backend", self.kernel_backend.name)
         return ParseResult(
             network=network,

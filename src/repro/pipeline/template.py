@@ -276,7 +276,6 @@ class NetworkTemplate:
         self._masks: VectorMasks | None = None
         self._masks_for: CompiledGrammar | None = None
         self._scratch_bits: np.ndarray | None = None
-        self._nbytes_cache: "tuple[tuple, int] | None" = None
 
     @property
     def base_matrix(self) -> np.ndarray:
@@ -447,23 +446,13 @@ class NetworkTemplate:
         return self._scratch_bits
 
     def nbytes(self) -> int:
-        """Approximate resident size, for cache-accounting tests.
+        """Approximate resident size, for cache accounting.
 
-        Memoized per lazy-artifact state: sessions report cache bytes on
-        every parse/extend, and the arrays counted here are frozen — the
-        total only changes when a lazy artifact appears, which the state
-        key captures.  The per-constraint binary masks count only once
-        evaluated, and accounting never evaluates them.
+        Lazy artifacts count once they exist; the per-constraint binary
+        masks count only once evaluated, and accounting never evaluates
+        them.
         """
         masks = self._masks
-        state = (
-            self._base_bool is not None,
-            self._scratch_bits is not None,
-            masks is not None,
-            masks is not None and masks.binary_materialized,
-        )
-        if self._nbytes_cache is not None and self._nbytes_cache[0] == state:
-            return self._nbytes_cache[1]
         total = self.base_bits.nbytes + self.canbe_array.nbytes
         total += self.bit_layout.nbytes()
         for arr in (self.pos, self.role_kind, self.cat, self.lab, self.mod, self.role_index):
@@ -479,7 +468,6 @@ class NetworkTemplate:
                 total += masks.fused.nbytes
             if masks.binary_materialized:
                 total += sum(m.nbytes for m in masks.binary)
-        self._nbytes_cache = (state, total)
         return total
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

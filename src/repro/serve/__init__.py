@@ -13,11 +13,10 @@ concurrent producers*:
   size-or-linger rule, so every batch binds one cached template;
 * :class:`ServiceMetrics` — request counters by outcome, queue-depth
   gauge, batch-size and latency histograms, via ``snapshot()``;
-* :class:`ServiceStream` — a server-side incremental parse opened with
-  ``submit_stream()``: ``feed(word)`` queues one token through the same
-  admission/deadline/metrics machinery and resolves to the grown
-  prefix's result, executed word-at-a-time on the owning worker's
-  session via :class:`~repro.pipeline.streaming.StreamingParse`.
+* :class:`ServiceStream` — a word-at-a-time parse opened with
+  ``submit_stream()`` (here or on a cluster client): the words stay on
+  the caller's side, and ``feed(word)`` submits the grown prefix as an
+  ordinary request, so its future resolves to the prefix's result.
 
 See ``docs/architecture.md`` ("Serving layer") and
 ``benchmarks/bench_service.py`` for the throughput record.

@@ -30,21 +30,13 @@ from repro.grammar.grammar import Sentence
 
 @dataclass(slots=True)
 class ParseRequest:
-    """One queued sentence: payload, shape key, timing, and its future.
-
-    A *stream token* request reuses the same record: ``stream`` points
-    at the owning service stream, ``word`` is the single token being
-    appended, and ``key`` is the stream's private group key (so one
-    stream's tokens form one FIFO group in the batcher, never mixed
-    with ordinary sentences or with other streams)."""
+    """One queued sentence: payload, shape key, timing, and its future."""
 
     sentence: Sentence
     key: Hashable  # the sentence's category signature (template cache key)
     enqueued: float  # service-clock time of admission
     deadline: float | None = None  # absolute; None = no deadline
     est_bytes: int = 0  # per-shape network-size estimate (0 = shape not yet seen)
-    stream: object | None = None  # owning ServiceStream for a stream token
-    word: str | None = None  # the appended token (stream requests only)
     future: Future = field(default_factory=Future)
 
 
@@ -84,11 +76,6 @@ class ShapeBatcher:
         self._groups.setdefault(request.key, deque()).append(request)
         self._total += 1
 
-    def pending(self, key: Hashable) -> int:
-        """Requests currently queued under *key* (0 when absent)."""
-        queue = self._groups.get(key)
-        return 0 if queue is None else len(queue)
-
     # -- removal -----------------------------------------------------------
 
     def expire(self, now: float) -> list[ParseRequest]:
@@ -112,13 +99,7 @@ class ShapeBatcher:
         self._total -= len(removed)
         return removed
 
-    def pop_ready(
-        self,
-        now: float,
-        *,
-        force: bool = False,
-        exclude: "set | frozenset | None" = None,
-    ) -> list[ParseRequest] | None:
+    def pop_ready(self, now: float, *, force: bool = False) -> list[ParseRequest] | None:
         """Remove and return one ready single-shape batch, or ``None``.
 
         A group is ready when it holds ``max_batch_size`` requests or
@@ -127,18 +108,10 @@ class ShapeBatcher:
         ready groups the one with the oldest head request wins, so no
         shape is starved.  Batches never exceed ``max_batch_size``;
         the remainder of a larger group stays queued.
-
-        Groups whose key is in *exclude* are never returned — the
-        service excludes stream groups a worker must not touch (owned
-        by another worker, or with a token batch already in flight, so
-        one stream's tokens execute in strict FIFO order on one
-        session).
         """
         best_key = None
         best_age = None
         for key, queue in self._groups.items():
-            if exclude is not None and key in exclude:
-                continue
             ready = (
                 force
                 or len(queue) >= self.max_batch_size
@@ -165,28 +138,19 @@ class ShapeBatcher:
 
     # -- scheduling --------------------------------------------------------
 
-    def next_event(
-        self, now: float, *, exclude: "set | frozenset | None" = None
-    ) -> float | None:
+    def next_event(self, now: float) -> float | None:
         """Seconds until the next linger flush or deadline expiry.
 
         ``None`` when nothing is pending (callers wait for an ``add``
         notification instead); ``0.0`` when an event is already due.
-        Groups in *exclude* contribute their deadlines (expiry is
-        handled by any worker) but not their linger flushes (the
-        excluded group cannot be popped by this caller anyway, and an
-        already-due linger would otherwise busy-spin the wait loop).
         """
         event: float | None = None
-        for key, queue in self._groups.items():
-            if exclude is None or key not in exclude:
-                linger_at = queue[0].enqueued + self.max_linger
-                if event is None or linger_at < event:
-                    event = linger_at
+        for queue in self._groups.values():
+            linger_at = queue[0].enqueued + self.max_linger
+            if event is None or linger_at < event:
+                event = linger_at
             for request in queue:
-                if request.deadline is not None and (
-                    event is None or request.deadline < event
-                ):
+                if request.deadline is not None and request.deadline < event:
                     event = request.deadline
         if event is None:
             return None

@@ -140,13 +140,8 @@ class ServiceMetrics:
         ``failed``     dispatched but the engine raised
         ``expired``    deadline passed while queued; never dispatched
         ``cancelled``  future cancelled (or abandoned by abrupt shutdown)
-    Counters (streams; tokens additionally flow through the request
-    counters above, so the conservation law still balances):
-        ``stream_opened``  streams opened via ``submit_stream()``
-        ``stream_tokens``  tokens accepted into stream queues
-        ``stream_closed``  streams closed by their producer
-        ``stream_failed``  streams poisoned (a token failed, expired,
-                           or was cancelled; at most once per stream)
+        A stream token is an ordinary request for its grown prefix and
+        is counted only here.
     Gauges:
         ``queue_depth``           requests currently queued (not yet dispatched)
         ``network_bytes``         resident bytes of the most recently parsed
@@ -172,10 +167,6 @@ class ServiceMetrics:
         self.failed = Counter()
         self.expired = Counter()
         self.cancelled = Counter()
-        self.stream_opened = Counter()
-        self.stream_tokens = Counter()
-        self.stream_closed = Counter()
-        self.stream_failed = Counter()
         self.queue_depth = Gauge()
         self.network_bytes = Gauge()
         self.template_cache_bytes = Gauge()
@@ -188,7 +179,6 @@ class ServiceMetrics:
     _COUNTERS = (
         "submitted", "accepted", "rejected",
         "completed", "failed", "expired", "cancelled",
-        "stream_opened", "stream_tokens", "stream_closed", "stream_failed",
     )
     _GAUGES = (
         "queue_depth", "network_bytes", "template_cache_bytes",

@@ -40,6 +40,9 @@ Architecture (one bounded queue, one mutex, three condition variables)::
 * **Metrics** — a :class:`ServiceMetrics` instance updated on every
   transition; ``snapshot()`` adds service state and the workers'
   aggregated template-cache counters.
+* **Streams** — ``submit_stream()`` returns a :class:`ServiceStream`
+  that keeps the words on the caller's side and submits each grown
+  prefix as an ordinary request; the service holds no stream state.
 
 Correctness invariant (enforced by the end-to-end tests): for the same
 sentences, service results are bit-identical to
@@ -54,7 +57,7 @@ import itertools
 import threading
 import time
 from concurrent.futures import Future
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.engines.base import ParseResult, ParserEngine
 from repro.errors import StreamError
@@ -64,6 +67,9 @@ from repro.serve.batcher import ParseRequest, ShapeBatcher
 from repro.serve.errors import DeadlineExceeded, ServiceOverloaded, ServiceUnavailable
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.worker import Worker
+
+if TYPE_CHECKING:  # pragma: no cover - types only
+    from repro.cluster.router import ClusterClient
 
 #: Project-wide lock acquisition order (checked by repro-lint RPR014):
 #: the service mutex is always taken before any metrics-instrument lock —
@@ -78,55 +84,65 @@ _service_ids = itertools.count(1)
 
 
 class ServiceStream:
-    """A server-side incremental parse: one growing sentence per handle.
+    """A word-at-a-time parse whose words stay on the caller's side.
 
-    Opened with :meth:`ParseService.submit_stream`.  Each ``feed(word)``
-    queues one token and returns a future resolving to the
-    :class:`~repro.engines.base.ParseResult` of the grown prefix —
-    bit-identical to submitting the whole prefix as a sentence, but
-    incremental: the worker that executes the stream's first token
-    becomes its permanent owner (the retained
-    :class:`~repro.pipeline.streaming.StreamingParse` state lives in
-    that worker's session), and later tokens are routed to it in strict
-    FIFO order through the normal admission/deadline/batching
-    machinery.  A token that fails, expires, or is cancelled *poisons*
-    the stream — the prefix chain is broken, so further tokens fail
-    with :class:`~repro.errors.StreamError` — and ``close()`` releases
-    the retained network state once queued tokens drain.
+    Opened with :meth:`ParseService.submit_stream` or
+    :meth:`repro.cluster.ClusterClient.submit_stream`; *front* is that
+    front end.  ``feed(word)`` tokenizes the grown prefix at the door,
+    hands it to the front end's ordinary ``submit`` and appends the
+    word only after that, so a word that raises (a non-string or empty
+    word, a word the lexicon lacks, a refused submit) leaves the stream
+    as it was.  Each token is then an ordinary request: admitted,
+    deadlined, shape-batched and counted like any other, and its future
+    resolves to the grown prefix's
+    :class:`~repro.engines.base.ParseResult`, bit-identical to a fresh
+    parse of the same words.  No worker or shard holds a stream's
+    state, so a token that fails, expires or is cancelled breaks
+    nothing: the next feed submits the whole prefix again.  A handle
+    has one producer; feed it from one thread at a time.
     """
 
-    __slots__ = (
-        "_service", "stream_id", "key", "owner", "busy",
-        "broken", "closed", "parse", "tokens",
-    )
+    __slots__ = ("_front", "_words", "_closed")
 
-    def __init__(self, service: "ParseService", stream_id: int):
-        self._service = service
-        self.stream_id = stream_id
-        self.key = ("stream", stream_id)  # private batcher group key
-        self.owner: str | None = None  # worker name; set at first dispatch
-        self.busy = False  # a token batch is executing right now
-        self.broken = False
-        self.closed = False
-        self.parse = None  # the owner worker's StreamingParse, once opened
-        self.tokens = 0
+    def __init__(self, front: "ParseService | ClusterClient"):
+        self._front = front
+        self._words: list[str] = []
+        self._closed = False
 
     def feed(
         self, word: str, *, timeout: "float | None | object" = _UNSET
     ) -> "Future[ParseResult]":
-        """Queue one token; the future resolves to the prefix's result."""
-        return self._service._submit_stream_token(self, word, timeout=timeout)
+        """Submit the prefix grown by *word*; the future resolves to its result."""
+        if self._closed:
+            raise StreamError("cannot feed a closed stream; open a new one")
+        if not isinstance(word, str) or not word:
+            raise StreamError(f"stream words must be non-empty strings, got {word!r}")
+        sentence = self._front.grammar.tokenize([*self._words, word])
+        # Forward a timeout only when the caller gave one, so the front
+        # end's own default_timeout applies otherwise.
+        kwargs = {} if timeout is _UNSET else {"timeout": timeout}
+        future = self._front.submit(sentence, **kwargs)
+        self._words.append(word)
+        return future
 
     def close(self) -> None:
-        """Stop feeding; retained state is dropped once tokens drain."""
-        self._service._close_stream(self)
+        """Stop feeding (idempotent); no front end holds anything to release."""
+        self._closed = True
+
+    @property
+    def words(self) -> tuple[str, ...]:
+        """The words fed so far (rejected words are never appended)."""
+        return tuple(self._words)
+
+    def __enter__(self) -> "ServiceStream":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "broken" if self.broken else ("closed" if self.closed else "open")
-        return (
-            f"ServiceStream(id={self.stream_id}, {state}, tokens={self.tokens}, "
-            f"owner={self.owner!r})"
-        )
+        state = "closed" if self._closed else "open"
+        return f"ServiceStream({state}, words={len(self._words)})"
 
 
 class ParseService:
@@ -237,8 +253,6 @@ class ParseService:
         self._in_flight = 0
         self._shape_bytes: dict = {}  # shape key -> measured network bytes
         self._queued_bytes = 0  # sum of est_bytes over queued requests
-        self._streams: dict[int, ServiceStream] = {}
-        self._stream_ids = itertools.count(1)
         self._workers: list[Worker] = []
         self._name = f"parse-service-{next(_service_ids)}"
 
@@ -323,20 +337,11 @@ class ParseService:
             self._space.notify_all()
             self._idle.notify_all()
         for request in leftovers:
-            if request.stream is not None:
-                self._poison_stream(request.stream)
             self.metrics.cancelled.inc()
             if not request.future.cancelled():
                 request.future.set_exception(
                     ServiceUnavailable("service shut down before this request was dispatched")
                 )
-        with self._lock:
-            # Release every stream's retained network state; handles
-            # survive as inert records (feed() rejects on a stopped
-            # service anyway).
-            for stream in self._streams.values():
-                stream.parse = None
-            self._streams.clear()
         for worker in self._workers:
             worker.join(timeout)
         if self._pool is not None:
@@ -433,103 +438,17 @@ class ParseService:
     # -- streaming ---------------------------------------------------------
 
     def submit_stream(self) -> ServiceStream:
-        """Open a word-at-a-time incremental parse on this service.
+        """Open a word-at-a-time parse on this service.
 
-        Returns a :class:`ServiceStream`; each ``feed(word)`` resolves
-        to the grown prefix's result, bit-identical to submitting the
-        prefix as one sentence.  Streams execute in-thread on their
-        owner worker's session in both workers modes (the retained
-        incremental state cannot cross the process boundary).
+        Each ``feed(word)`` submits the grown prefix through
+        :meth:`submit` (see :class:`ServiceStream`), so stream tokens
+        run on any worker, and in the process pool under
+        ``workers_mode="process"``.  Raises :class:`ServiceUnavailable`
+        when the service is not running.
         """
-        with self._lock:
-            if self._state != "running":
-                raise ServiceUnavailable(
-                    f"service is {self._state}, not accepting requests"
-                )
-            stream = ServiceStream(self, next(self._stream_ids))
-            self._streams[stream.stream_id] = stream
-            self.metrics.stream_opened.inc()
-        return stream
-
-    def _submit_stream_token(
-        self,
-        stream: ServiceStream,
-        word: str,
-        *,
-        timeout: "float | None | object" = _UNSET,
-    ) -> "Future[ParseResult]":
-        # Tokenizing the single word validates it against the lexicon
-        # at the door, like submit() does for whole sentences.
-        sent = self.grammar.tokenize([word])
-        limit = self.default_timeout if timeout is _UNSET else timeout
-        now = self._clock()
-        request = ParseRequest(
-            sentence=sent,
-            key=stream.key,
-            enqueued=now,
-            deadline=None if limit is None else now + limit,
-            stream=stream,
-            word=word,
-        )
-        with self._lock:
-            self.metrics.submitted.inc()
-            if self._state != "running":
-                self.metrics.rejected.inc()
-                raise ServiceUnavailable(f"service is {self._state}, not accepting requests")
-            if stream.closed or stream.broken:
-                self.metrics.rejected.inc()
-                raise StreamError(
-                    f"stream {stream.stream_id} is "
-                    f"{'broken' if stream.broken else 'closed'}; open a new stream"
-                )
-            request.est_bytes = self._shape_bytes.get(request.key, 0)
-            reason = self._admission_reason(request)
-            if reason is not None:
-                if self.admission == "reject":
-                    self.metrics.rejected.inc()
-                    raise ServiceOverloaded(
-                        f"{reason}; retry later, raise the bound, or use admission='block'"
-                    )
-                while self._admission_reason(request) and self._state == "running":
-                    self._space.wait()
-                if self._state != "running":
-                    self.metrics.rejected.inc()
-                    raise ServiceUnavailable(f"service is {self._state}, not accepting requests")
-            self._batcher.add(request)
-            self._queued_bytes += request.est_bytes
-            self.metrics.queued_bytes.set(self._queued_bytes)
-            self.metrics.accepted.inc()
-            self.metrics.stream_tokens.inc()
-            stream.tokens += 1
-            self.metrics.queue_depth.set(len(self._batcher))
-            self._work.notify_all()
-        return request.future
-
-    def _close_stream(self, stream: ServiceStream) -> None:
-        with self._lock:
-            if stream.closed:
-                return
-            stream.closed = True
-            self.metrics.stream_closed.inc()
-            # Drop the retained network state now if nothing is queued
-            # or executing; otherwise _stream_done does it after the
-            # last in-flight token batch.
-            if not stream.busy and self._batcher.pending(stream.key) == 0:
-                stream.parse = None
-
-    def _poison_stream(self, stream: ServiceStream) -> None:
-        """A token failed/expired/was cancelled: the prefix chain broke."""
-        with self._lock:
-            if not stream.broken:
-                stream.broken = True
-                self.metrics.stream_failed.inc()
-
-    def _stream_done(self, stream: ServiceStream) -> None:
-        """The owner worker finished a token batch (package-private)."""
-        with self._lock:
-            stream.busy = False
-            if (stream.closed or stream.broken) and self._batcher.pending(stream.key) == 0:
-                stream.parse = None
+        if self._state != "running":
+            raise ServiceUnavailable(f"service is {self._state}, not accepting requests")
+        return ServiceStream(self)
 
     def _admission_reason(self, request: ParseRequest) -> "str | None":
         """Under the lock: why *request* cannot be queued now (None = admit).
@@ -575,12 +494,6 @@ class ParseService:
             "workers_mode": self.workers_mode,
             "queued": len(self._batcher),
             "in_flight": self._in_flight,
-            "streams": {
-                "open": sum(
-                    not (s.closed or s.broken) for s in self._streams.values()
-                ),
-                "broken": sum(s.broken for s in self._streams.values()),
-            },
             "template_cache": {
                 field: sum(info[field] for info in caches)
                 for field in ("hits", "misses", "evictions", "size")
@@ -603,18 +516,11 @@ class ParseService:
 
     # -- the worker side (package-private) ---------------------------------
 
-    def _next_batch(self, worker_name: "str | None" = None) -> "list[ParseRequest] | None":
+    def _next_batch(self) -> "list[ParseRequest] | None":
         """Block until a shape-coherent batch is ready; None = exit.
 
         Expiry always runs before dispatch, so a request whose deadline
         passed while queued is *never* part of a returned batch.
-
-        Stream groups are subject to affinity: the worker that pops a
-        stream's first token batch becomes the stream's owner (the
-        incremental state lives in its session), and the group is
-        excluded from every other worker — and from the owner too while
-        a token batch is in flight, so one stream's tokens execute
-        strictly in order.
         """
         while True:
             expired: list[ParseRequest] = []
@@ -626,15 +532,8 @@ class ParseService:
                     self._release_queued(expired)
                     self._queue_shrunk()
                 else:
-                    exclude = self._stream_excludes(worker_name)
-                    batch = self._batcher.pop_ready(
-                        now, force=self._state != "running", exclude=exclude
-                    )
+                    batch = self._batcher.pop_ready(now, force=self._state != "running")
                     if batch is not None:
-                        stream = batch[0].stream
-                        if stream is not None:
-                            stream.owner = stream.owner or worker_name
-                            stream.busy = True
                         self._in_flight += len(batch)
                         self._release_queued(batch)
                         self._queue_shrunk()
@@ -644,7 +543,7 @@ class ParseService:
                     elif self._state == "stopped" and len(self._batcher) == 0:
                         return None
                     else:
-                        wait = self._batcher.next_event(now, exclude=exclude)
+                        wait = self._batcher.next_event(now)
                         # Clamp: a due-but-unready event (sub-resolution
                         # linger remainder) must not busy-spin.
                         self._work.wait(None if wait is None else max(wait, 1e-4))
@@ -654,22 +553,9 @@ class ParseService:
                 continue
             return batch
 
-    def _stream_excludes(self, worker_name: "str | None") -> "set | None":
-        """Under the lock: stream group keys this worker must not pop."""
-        exclude = {
-            stream.key
-            for stream in self._streams.values()
-            if stream.busy or (stream.owner is not None and stream.owner != worker_name)
-        }
-        return exclude or None
-
     def _finish_expired(self, requests: "list[ParseRequest]") -> None:
         """Complete dead requests outside the lock (futures run callbacks)."""
         for request in requests:
-            if request.stream is not None:
-                # A lost token breaks the stream's prefix chain; later
-                # tokens can no longer extend a trusted state.
-                self._poison_stream(request.stream)
             if request.future.cancelled():
                 self.metrics.cancelled.inc()
             elif request.future.set_running_or_notify_cancel():
@@ -695,14 +581,8 @@ class ParseService:
         depth = len(self._batcher)
         self.metrics.queue_depth.set(depth)
         self._space.notify_all()
-        if depth == 0:
-            # Wake workers parked on _work with stream groups excluded:
-            # once the queue empties they must recheck the stop
-            # condition rather than sleep on a queue only the stream's
-            # owner was allowed to drain.
-            self._work.notify_all()
-            if self._in_flight == 0:
-                self._idle.notify_all()
+        if depth == 0 and self._in_flight == 0:
+            self._idle.notify_all()
 
     def _batch_done(self, n: int) -> None:
         with self._lock:

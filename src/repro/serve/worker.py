@@ -28,7 +28,6 @@ from __future__ import annotations
 import threading
 from typing import TYPE_CHECKING
 
-from repro.errors import StreamError
 from repro.pipeline.session import ParserSession
 
 if TYPE_CHECKING:  # pragma: no cover - types only
@@ -59,23 +58,15 @@ class Worker:
 
     def _loop(self) -> None:
         while True:
-            batch = self._service._next_batch(self.name)
+            batch = self._service._next_batch()
             if batch is None:
                 return
             try:
                 self._execute(batch)
             finally:
                 self._service._batch_done(len(batch))
-                if batch[0].stream is not None:
-                    self._service._stream_done(batch[0].stream)
 
     def _execute(self, batch: "list[ParseRequest]") -> None:
-        if batch[0].stream is not None:
-            # Stream tokens run in-thread in both workers modes: the
-            # retained StreamingParse state lives in this worker's
-            # session and cannot cross the process boundary.
-            self._execute_stream(batch)
-            return
         if self._service._pool is not None:
             self._execute_process(batch)
             return
@@ -103,52 +94,6 @@ class Worker:
                 nbytes = result.stats.extra.get("network_bytes")
                 if nbytes:
                     self._service._note_network_bytes(request.key, nbytes)
-
-    def _execute_stream(self, batch: "list[ParseRequest]") -> None:
-        """Execute one stream's token batch, strictly in order.
-
-        Batches are single-group, so every request here belongs to one
-        stream and this worker owns it (service-side affinity).  A
-        failing token poisons the stream: the remaining tokens of the
-        batch — and every later one — fail with ``StreamError`` rather
-        than silently extending an untrusted prefix.
-        """
-        service = self._service
-        metrics = service.metrics
-        clock = service._clock
-        stream = batch[0].stream
-        for request in batch:
-            if not request.future.set_running_or_notify_cancel():
-                metrics.cancelled.inc()
-                service._poison_stream(stream)
-                continue
-            if stream.broken:
-                request.future.set_exception(
-                    StreamError(
-                        f"stream {stream.stream_id} is broken by an earlier "
-                        "token failure; open a new stream"
-                    )
-                )
-                metrics.failed.inc()
-                continue
-            try:
-                if stream.parse is None:
-                    stream.parse = self.session.stream()
-                result = stream.parse.extend(request.word)
-            except BaseException as error:  # noqa: BLE001 - delivered via future
-                request.future.set_exception(error)
-                metrics.failed.inc()
-                service._poison_stream(stream)
-            else:
-                request.future.set_result(result)
-                metrics.completed.inc()
-                metrics.latency_seconds.observe(clock() - request.enqueued)
-                # The stream's own group key doubles as its memory
-                # profile: the next token's admission estimate is the
-                # current prefix network's resident bytes.
-                nbytes = result.stats.extra.get("network_bytes")
-                if nbytes:
-                    service._note_network_bytes(request.key, nbytes)
 
     def _execute_process(self, batch: "list[ParseRequest]") -> None:
         """Dispatch one single-shape batch to the service's process pool."""

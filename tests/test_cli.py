@@ -162,11 +162,14 @@ class TestArgumentValidation:
             ["cluster", "up", "--workers", "0"],
             ["cluster", "up", "--workers", "two"],
             ["cluster", "bench"],  # retired: the e2e cluster-open workload times the cluster
+            ["parse", "the", "dog", "runs", "--max-parses", "0"],
+            ["parse", "the", "dog", "runs", "--filter-limit", "-1"],
+            ["timing", "--max-n", "0"],
         ],
         ids=lambda argv: "_".join(argv),
     )
     def test_usage_error(self, argv, capsys):
-        """Refused by argparse before any service, shard or fleet starts."""
+        """Refused by argparse before any parse, service, shard or fleet starts."""
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2

@@ -56,7 +56,7 @@ from repro.engines.base import EngineStats
 from repro.errors import LexiconError, StreamError
 from repro.grammar.builtin import english_grammar
 from repro.pipeline.session import ParserSession
-from repro.serve import DeadlineExceeded, ServiceUnavailable
+from repro.serve import DeadlineExceeded, ParseService, ServiceUnavailable
 from repro.workloads import corpus, sentence_of_length
 from tests.test_pipeline import DETERMINISTIC_STATS, assert_same_network
 
@@ -340,12 +340,16 @@ class TestWireEdgeCases:
             self._assert_still_usable(sock)
 
     def test_unknown_message_type_echoes_id(self, raw_server):
+        # Streams are client-side prefix requests: the shard speaks no
+        # stream frames.
+        kinds = ("teleport", "stream_open", "stream_feed", "stream_close")
         with _connect(raw_server) as sock:
-            sock.sendall(frame_bytes({"type": "teleport", "id": 5}))
-            error = _recv_message(sock)
-            assert error["type"] == "error"
-            assert error["kind"] == "wire"
-            assert error["id"] == 5
+            for rid, kind in enumerate(kinds, start=5):
+                sock.sendall(frame_bytes({"type": kind, "id": rid, "stream": 1}))
+                error = _recv_message(sock)
+                assert error["type"] == "error"
+                assert error["kind"] == "wire"
+                assert error["id"] == rid
             self._assert_still_usable(sock)
 
     def test_bad_field_type_is_wire_error(self, raw_server):
@@ -389,16 +393,6 @@ class TestWireEdgeCases:
             error = _recv_message(sock)
             assert error["type"] == "error"
             assert error["kind"] == "lexicon"
-            self._assert_still_usable(sock)
-
-    def test_feed_on_unopened_stream_is_a_stream_error(self, raw_server):
-        with _connect(raw_server) as sock:
-            sock.sendall(frame_bytes({
-                "type": "stream_feed", "id": 4, "stream": 42,
-                "word": "the", "budget": None,
-            }))
-            error = _recv_message(sock)
-            assert error["kind"] == "stream"
             self._assert_still_usable(sock)
 
     def test_partial_header_then_close_leaves_server_healthy(self, raw_server):
@@ -541,6 +535,35 @@ class TestClusterE2E:
             extra.submit(sentence_of_length(3))
 
 
+@pytest.fixture(params=["service", "cluster"])
+def stream_front(request):
+    """A stream front end: an in-process ParseService, or the cluster client."""
+    if request.param == "cluster":
+        _, _, client = request.getfixturevalue("cluster")
+        yield client
+        return
+    with ParseService(english_grammar(), engine="vector", workers=2) as service:
+        yield service
+
+
+class TestStreamHandle:
+    """One stream handle over both front ends: words stay on the caller's side."""
+
+    def test_unknown_word_leaves_the_stream_usable(self, stream_front):
+        grammar = english_grammar()
+        with stream_front.submit_stream() as stream:
+            stream.feed("the", timeout=WAIT).result(WAIT)
+            with pytest.raises(LexiconError):
+                stream.feed("zzz-not-a-word")
+            with pytest.raises(StreamError):
+                stream.feed("")
+            assert stream.words == ("the",)
+            ours = stream.feed("dog", timeout=WAIT).result(WAIT)
+        assert_bit_identical(ours, ParserSession(grammar).parse(["the", "dog"]))
+        with pytest.raises(StreamError):
+            stream.feed("runs")
+
+
 class TestShardRouterUnit:
     def test_shape_is_the_category_signature(self):
         grammar = english_grammar()
@@ -565,8 +588,9 @@ class TestLauncherEndToEnd:
                 clustered = client.parse_many(sentences, timeout=WAIT)
                 for ours, theirs in zip(clustered, reference):
                     assert_bit_identical(ours, theirs)
-                # A stream pins to one shard process; every prefix must
-                # match the in-process incremental parse.
+                # Each grown prefix routes by its own shape to either
+                # shard process; every prefix must match the in-process
+                # incremental parse.
                 local = ParserSession(grammar).stream()
                 with client.submit_stream() as stream:
                     for word in longest:
